@@ -465,23 +465,31 @@ let rare_compare out_path =
 (* --- sparse backend benchmark ------------------------------------------ *)
 
 (* `dune exec bench/main.exe -- --sparse [OUT.json]`: path-delay Monte
-   Carlo over an inverter chain sized past the sparse Auto threshold,
-   through the batched SoA runner (one precompiled engine per worker,
-   shared symbolic analysis, devices retargeted per sample).  Records
-   per-sample wall time for the sparse vs dense backends on the identical
-   sample set, the unbatched per-sample-recompile baseline, the maximum
-   sparse/dense value disagreement, and jobs:1 vs jobs:4 bit-identity of
-   the sparse path. *)
+   Carlo over an inverter chain sized past the sparse Auto threshold
+   (Chain.sample / Chain.measure, one compiled engine per sample).
+   Records per-sample wall time for the sparse vs dense backends on the
+   identical sample set, the maximum sparse/dense value disagreement, and
+   jobs:1 vs jobs:4 bit-identity of the sparse path. *)
 let sparse_bench out_path =
-  let module B = Vstat_experiments.Batch_mc in
+  let module Chain = Vstat_cells.Chain in
   let stages = 48 in
   let n = 16 in
   let steps = 400 in
   let seed = 2026 in
   let nodes = stages + 3 (* vdd, in, s0..s<stages> *) in
   let unknowns = nodes + 2 in
-  let run ?jobs ?batched backend =
-    B.chain_tpd ?jobs ?batched ~backend ~stages ~steps ~n ~seed ~vdd pipeline
+  (* Per-sample delays, [None] where a sample failed; more than 20 %
+     failed samples abort the benchmark. *)
+  let run ?(n = n) ~jobs backend =
+    let f i =
+      let rng = Vstat_util.Rng.substream ~seed ~index:i in
+      let tech = Vstat_core.Techs.stochastic_vs pipeline ~rng ~vdd in
+      Chain.measure ~steps ~backend (Chain.sample ~stages tech)
+    in
+    let r = Vstat_runtime.Runtime.map_samples ~jobs ~n ~f () in
+    Vstat_runtime.Runtime.check_budget ~label:"bench --sparse"
+      ~max_failure_frac:0.2 r;
+    Array.map Result.to_option r.Vstat_runtime.Runtime.cells
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -489,36 +497,33 @@ let sparse_bench out_path =
     (r, Unix.gettimeofday () -. t0)
   in
   (* Warm-up both backends: code paths and the symbolic-analysis cache. *)
-  ignore
-    (B.chain_tpd ~jobs:1 ~backend:Vstat_circuit.Engine.Sparse ~stages ~steps
-       ~n:1 ~seed ~vdd pipeline);
-  ignore
-    (B.chain_tpd ~jobs:1 ~backend:Vstat_circuit.Engine.Dense ~stages ~steps
-       ~n:1 ~seed ~vdd pipeline);
-  Fmt.pr "sparse: batched sparse, jobs:1 (%d samples, %d unknowns)...@." n
-    unknowns;
+  ignore (run ~n:1 ~jobs:1 Vstat_circuit.Engine.Sparse);
+  ignore (run ~n:1 ~jobs:1 Vstat_circuit.Engine.Dense);
+  Fmt.pr "sparse: sparse, jobs:1 (%d samples, %d unknowns)...@." n unknowns;
   let rs, t_sparse = time (fun () -> run ~jobs:1 Sparse) in
-  Fmt.pr "sparse: batched dense, jobs:1...@.";
+  Fmt.pr "sparse: dense, jobs:1...@.";
   let rd, t_dense = time (fun () -> run ~jobs:1 Dense) in
-  Fmt.pr "sparse: unbatched (recompile per sample), jobs:1...@.";
-  let _ru, t_unbatched = time (fun () -> run ~jobs:1 ~batched:false Sparse) in
-  Fmt.pr "sparse: batched sparse, jobs:4...@.";
+  Fmt.pr "sparse: sparse, jobs:4...@.";
   let rs4, _ = time (fun () -> run ~jobs:4 Sparse) in
-  let bit_identical = rs.B.by_index = rs4.B.by_index in
+  let bit_identical =
+    Array.for_all2
+      (Option.equal (fun x y ->
+           Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)))
+      rs rs4
+  in
   let max_rel = ref 0.0 in
   let compared = ref 0 in
   Array.iteri
     (fun i ds ->
-      match (ds, rd.B.by_index.(i)) with
+      match (ds, rd.(i)) with
       | Some s, Some d ->
         incr compared;
         let r = Float.abs (s -. d) /. Float.max (Float.abs d) 1e-300 in
         if r > !max_rel then max_rel := r
       | _ -> ())
-    rs.B.by_index;
+    rs;
   let per t = 1e3 *. t /. Float.of_int n in
   let speedup = t_dense /. t_sparse in
-  let batch_speedup = t_unbatched /. t_sparse in
   let json =
     Printf.sprintf
       "{\n\
@@ -526,21 +531,17 @@ let sparse_bench out_path =
        unknowns, %d samples\",\n\
       \  \"dense_ms_per_sample\": %.2f,\n\
       \  \"sparse_ms_per_sample\": %.2f,\n\
-      \  \"unbatched_ms_per_sample\": %.2f,\n\
       \  \"sparse_speedup_vs_dense\": %.2f,\n\
-      \  \"batched_speedup_vs_unbatched\": %.2f,\n\
       \  \"max_rel_disagreement_sparse_vs_dense\": %.3e,\n\
       \  \"compared_samples\": %d,\n\
       \  \"jobs1_vs_jobs4_bit_identical\": %b\n\
        }\n"
-      stages unknowns n (per t_dense) (per t_sparse) (per t_unbatched)
-      speedup batch_speedup !max_rel !compared bit_identical
+      stages unknowns n (per t_dense) (per t_sparse) speedup !max_rel
+      !compared bit_identical
   in
   Out_channel.with_open_text out_path (fun oc -> output_string oc json);
-  Fmt.pr
-    "dense %.2f ms/sample, sparse %.2f ms/sample (%.2fx), unbatched %.2f \
-     ms/sample (batching %.2fx)@."
-    (per t_dense) (per t_sparse) speedup (per t_unbatched) batch_speedup;
+  Fmt.pr "dense %.2f ms/sample, sparse %.2f ms/sample (%.2fx)@."
+    (per t_dense) (per t_sparse) speedup;
   Fmt.pr "max |sparse-dense| rel = %.3e, jobs1==jobs4: %b -> %s@." !max_rel
     bit_identical out_path;
   if !max_rel > 1e-9 then begin

@@ -16,43 +16,13 @@ val sample :
   ?stages:int -> ?wp_nm:float -> ?wn_nm:float -> Celltech.t -> sample
 (** Default: 8 stages of P/N = 600/300 nm. *)
 
-val measure : ?window:float -> ?steps:int -> sample -> float
-(** Path delay in seconds (input edge at the first stage's input to the
-    final output's matching-polarity crossing).
-    @raise Vstat_circuit.Diag.Solver_error ([Measure_no_crossing]) if the edge never propagates within the window. *)
-
-(** {1 Batched evaluation}
-
-    {!measure} rebuilds and recompiles the netlist for every sample.
-    {!prepare} compiles the chain once over retargetable device proxies
-    ({!Vstat_device.Device_model.proxy}); {!measure_prepared} then swaps
-    the per-sample devices in and reuses the compiled engine — its
-    workspaces, slot-resolved stamp plan and (on the sparse backend) the
-    shared symbolic factorization.  A [prepared] engine is mutable state:
-    use one per worker domain. *)
-
-type prepared
-
-val prepare :
-  ?stages:int ->
-  ?wp_nm:float ->
-  ?wn_nm:float ->
+val measure :
   ?window:float ->
+  ?steps:int ->
   ?backend:Vstat_circuit.Engine.backend ->
-  Celltech.t ->
-  prepared
-(** Compile the chain topology once (defaults match {!sample} /
-    {!measure}: 8 stages of P/N = 600/300 nm, auto-sized window).  The
-    technology supplies only the template devices; per-sample devices come
-    from {!measure_prepared}. *)
-
-val prepared_backend : prepared -> Vstat_circuit.Engine.backend
-(** Which linear-solver backend the compiled engine resolved to. *)
-
-val measure_prepared : ?steps:int -> prepared -> sample -> float
-(** Retarget the proxies to [sample]'s devices and measure the path delay
-    on the prepared engine.  Equivalent to {!measure} on the same sample
-    (same topology, stimulus and step policy).
-    @raise Invalid_argument if the sample's stage count or vdd differ from
-      [prepare]'s.
-    @raise Vstat_circuit.Diag.Solver_error as {!measure}. *)
+  sample ->
+  float
+(** Path delay in seconds (input edge at the first stage's input to the
+    final output's matching-polarity crossing).  [backend] picks the
+    engine's linear solver (default {!Vstat_circuit.Engine.Auto}).
+    @raise Vstat_circuit.Diag.Solver_error ([Measure_no_crossing]) if the edge never propagates within the window. *)

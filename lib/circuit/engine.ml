@@ -182,7 +182,18 @@ type t = {
   xws : float array;                 (* Newton iterate *)
   mutable q_work : float array;      (* charges at the current candidate *)
   mutable i_work : float array;      (* charge currents at the candidate *)
-  dbuf : Vstat_device.Device_model.derivs;
+  (* Device bypass memo, one slot per MOSFET ([mos_slot] maps element ->
+     slot, -1 for other elements): the slot's own derivative buffer
+     ([dbufs]), which still holds the outputs of the analytic path's last
+     evaluation, the {!Device_model.canonical_key} of that evaluation
+     ([memo_key], 4 per slot) and whether the slot holds a completed
+     evaluation ([memo_ok]).  [key] is the scratch the current call's key
+     is built in. *)
+  mos_slot : int array;
+  dbufs : Vstat_device.Device_model.derivs array;
+  memo_key : float array;
+  memo_ok : bool array;
+  key : float array;
   (* Current source-evaluation time, in a 1-slot float array rather than a
      mutable float field or a parameter: float-array stores stay unboxed,
      whereas passing a freshly computed float to the (non-inlined) newton /
@@ -198,6 +209,8 @@ let compile ?(backend = Auto) netlist =
   let elems = Array.of_list (Netlist.elements netlist) in
   let nn = Netlist.node_count netlist in
   let charge_offset = Array.make (Array.length elems) (-1) in
+  let mos_slot = Array.make (Array.length elems) (-1) in
+  let n_mos = ref 0 in
   let n_charges = ref 0 in
   let nv = ref 0 in
   let vsrc_index = ref [] in
@@ -209,7 +222,9 @@ let compile ?(backend = Auto) netlist =
         n_charges := !n_charges + 1
       | Netlist.Mosfet _ ->
         charge_offset.(k) <- !n_charges;
-        n_charges := !n_charges + 4
+        n_charges := !n_charges + 4;
+        mos_slot.(k) <- !n_mos;
+        incr n_mos
       | Netlist.Vsource { name; _ } ->
         vsrc_index := (name, !nv) :: !vsrc_index;
         incr nv
@@ -304,7 +319,12 @@ let compile ?(backend = Auto) netlist =
     xws = Array.make n 0.0;
     q_work = Array.make nq 0.0;
     i_work = Array.make nq 0.0;
-    dbuf = Vstat_device.Device_model.make_derivs ();
+    mos_slot;
+    dbufs =
+      Array.init !n_mos (fun _ -> Vstat_device.Device_model.make_derivs ());
+    memo_key = Array.make (4 * !n_mos) 0.0;
+    memo_ok = Array.make !n_mos false;
+    key = Array.make 4 0.0;
     now = Array.make 1 0.0;
     work_used = 0;
     work_cap = default_options.work_cap;
@@ -362,6 +382,25 @@ let[@inline always] res_addi res i v =
 let[@inline always] vadd vals s v =
   if s >= 0 then vals.(s) <- vals.(s) +. v
 
+(* Bitwise float equality for the bypass key.  Float [=] would alias 0.0
+   with -0.0 (a device may answer them differently) and never match a
+   NaN. *)
+let[@inline always] same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Device bypass.  [memo_hit] is true when memo slot [m] holds an
+   evaluation whose key is bitwise [t.key]; its buffer [t.dbufs.(m)] then
+   still holds that evaluation's outputs.  Sound because a compiled
+   engine's devices never change and a device's outputs are a function of
+   its canonical key. *)
+let[@inline always] memo_hit t m =
+  let mk = t.memo_key and key = t.key and o = 4 * m in
+  t.memo_ok.(m)
+  && same_bits mk.(o) key.(0)
+  && same_bits mk.(o + 1) key.(1)
+  && same_bits mk.(o + 2) key.(2)
+  && same_bits mk.(o + 3) key.(3)
+
 (* One charge row of the analytic MOSFET stamp: companion current from the
    backward-Euler / trapezoidal charge difference plus the [factor]-scaled
    transcapacitance row.  [sl] is the element's 16-slot terminal block; row
@@ -391,11 +430,23 @@ let res_add res n v = res_addi res (Netlist.node_index n) v
    accepted solution can become the next step's state.  Sources are
    evaluated at time [t.now.(0)].
 
+   Analytic MOSFETs go through the device bypass ([memo_hit]): a device
+   whose canonical key (the polarity-mirrored, source/drain-ordered bias
+   triple plus swap flag its kernel would see) is bitwise that of its
+   previous evaluation reuses the outputs still in its slot's buffer
+   instead of making a new model call.  Quiet stages (a Newton update of
+   exactly 0.0, or one too small to move vdd - v) and each transient
+   step's first iteration (at the [x] the previous step's final assembly
+   already evaluated) hit.  The model/analytic counters count the calls
+   actually made.
+
    Allocation-free on the linear and analytic-MOSFET paths, with two
    documented exceptions: [Waveform.value] (out-of-line, so each source
    evaluation boxes its time argument and result) and the [eval_derivs]
-   indirect call (a closure call boxes its four float arguments).  The
-   zero-allocation gate therefore measures a source-free RC circuit; see
+   indirect call on a bypass miss (a closure call boxes its four float
+   arguments, at most 8 words; the kernels behind it allocate nothing).
+   The zero-allocation gate therefore measures a source-free RC circuit
+   exactly, and a MOSFET chain against those two allowances; see
    test/test_lint.ml. *)
 let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
   let nn = t.nn in
@@ -477,18 +528,34 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
       let sl = slots.(k) in
       (match dev.Vstat_device.Device_model.eval_derivs with
       | Some eval_derivs ->
-        (* Analytic path: one model call yields values, conductances and
-           the 4x4 transcapacitance block. *)
-        bump t c_model 1;
-        bump t c_analytic 1;
-        eval_derivs ~vg ~vd ~vs ~vb t.dbuf;
-        let db = t.dbuf in
-        let did = db.Vstat_device.Device_model.did
+        (* Analytic path: one model call (or a bypass hit) yields values,
+           conductances and the 4x4 transcapacitance block. *)
+        let m = t.mos_slot.(k) in
+        let db = t.dbufs.(m) in
+        let key = t.key in
+        key.(0) <- vg;
+        key.(1) <- vd;
+        key.(2) <- vs;
+        key.(3) <- vb;
+        Vstat_device.Device_model.canonical_key
+          dev.Vstat_device.Device_model.polarity key;
+        if not (memo_hit t m) then begin
+          (* Invalid until the call returns: a raising device leaves no
+             stale slot behind. *)
+          t.memo_ok.(m) <- false;
+          bump t c_model 1;
+          bump t c_analytic 1;
+          eval_derivs ~vg ~vd ~vs ~vb db;
+          Array.blit key 0 t.memo_key (4 * m) 4;
+          t.memo_ok.(m) <- true
+        end;
+        let v = db.Vstat_device.Device_model.v
+        and did = db.Vstat_device.Device_model.did
         and dq = db.Vstat_device.Device_model.dq in
         (* Channel current: slot-block rows d (1) and s (2), columns in
            terminal order g, d, s, b. *)
-        res_addi res ni_d db.v_id;
-        res_addi res ni_s (-.db.v_id);
+        res_addi res ni_d v.(0);
+        res_addi res ni_s (-.v.(0));
         vadd vals sl.(4) did.(0);
         vadd vals sl.(5) did.(1);
         vadd vals sl.(6) did.(2);
@@ -498,10 +565,10 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
         vadd vals sl.(10) (-.did.(2));
         vadd vals sl.(11) (-.did.(3));
         (* Terminal charges. *)
-        q_out.(off) <- db.v_qg;
-        q_out.(off + 1) <- db.v_qd;
-        q_out.(off + 2) <- db.v_qs;
-        q_out.(off + 3) <- db.v_qb;
+        q_out.(off) <- v.(1);
+        q_out.(off + 1) <- v.(2);
+        q_out.(off + 2) <- v.(3);
+        q_out.(off + 3) <- v.(4);
         (match mode with
         | Dc ->
           for c = 0 to 3 do

@@ -21,8 +21,32 @@ type params = {
   cov : float;
 }
 
-let leff p = Float.max (p.l -. p.dl) 1e-9
-let weff p = Float.max (p.w -. p.dw) 1e-9
+(* Local copies of [Float.max] and [Floatx.clamp]/[softplus]/[logistic]
+   with the same semantics (NaN and signed zero included), so that the
+   derivative kernel below allocates nothing: they are forced inline and
+   defined in this module because classic ocamlopt boxes the float
+   argument and result of every out-of-line call, and the dev profile's
+   -opaque compiles forbid inlining across modules.  [leff] and [weff] are
+   forced inline for the same reason. *)
+let[@inline always] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if (x <> x) [@vstat.allow "float-compare"] then x else y
+  else if (y <> y) [@vstat.allow "float-compare"] then y
+  else x
+
+let[@inline always] fclamp ~lo ~hi (x : float) =
+  if x < lo then lo else if x > hi then hi else x
+
+let[@inline always] softplus x =
+  if x > 40.0 then x else if x < -40.0 then exp x else log1p (exp x)
+
+let[@inline always] logistic x =
+  if x > 40.0 then 1.0
+  else if x < -40.0 then exp x
+  else 1.0 /. (1.0 +. exp (-.x))
+
+let[@inline always] leff p = fmax (p.l -. p.dl) 1e-9
+let[@inline always] weff p = fmax (p.w -. p.dw) 1e-9
 
 let vth p ~vds ~vbs =
   let l = leff p in
@@ -75,16 +99,42 @@ let canonical p ~vgs ~vds ~vbs =
     qb = 0.0;
   }
 
-(* Analytic bias derivatives of [canonical]; suffixes _g/_d/_b are partials
-   w.r.t. vgs/vds/vbs.  Everything upstream of Vdseff (mobility, Esat,
-   Vdsat) depends on bias only through Vgsteff, so those stages carry a
-   single scalar derivative w.r.t. Vgsteff that is chained out at the end.
-   Validated against central finite differences in the device test suite. *)
-let canonical_derivs p ~vgs ~vds ~vbs =
+(* The kernel's per-bias-variable chain-rule terms, top-level rather than
+   local closures (which would be allocated per call and box their float
+   arguments); each takes what the closure used to capture. *)
+let[@inline always] cf_of ~cden ~vdseff ve_x vg_x =
+  (-.ve_x /. cden) +. (vdseff *. 2.0 *. vg_x /. (cden *. cden))
+
+let[@inline always] dv2_of ~esat_l ~esl' ~vdseff ve_x vg_x =
+  (ve_x /. esat_l) -. (vdseff *. esl' *. vg_x /. (esat_l *. esat_l))
+
+let[@inline always] id_core_of ~kk ~mu' ~mu_eff ~vgsteff ~vdseff ~cf ~dv2
+    ~id_core vg_x ve_x cf_x dv2_x =
+  let prod_x =
+    (mu' *. vg_x *. vgsteff *. vdseff *. cf)
+    +. (mu_eff *. vg_x *. vdseff *. cf)
+    +. (mu_eff *. vgsteff *. ve_x *. cf)
+    +. (mu_eff *. vgsteff *. vdseff *. cf_x)
+  in
+  (kk *. prod_x /. dv2) -. (id_core *. dv2_x /. dv2)
+
+let[@inline always] sat_of ~raw_s ~vdsat ve_x vdsat_x =
+  if raw_s < 1.0 then (ve_x -. (raw_s *. vdsat_x)) /. vdsat else 0.0
+
+(* Analytic bias derivatives of [canonical] as a {!Device_model} kernel:
+   reads vgs/vds/vbs from [k] and writes the 5 values and 15 partials back
+   (layout in device_model.mli); suffixes _g/_d/_b are partials w.r.t.
+   vgs/vds/vbs.  Everything upstream of Vdseff (mobility, Esat, Vdsat)
+   depends on bias only through Vgsteff, so those stages carry a single
+   scalar derivative w.r.t. Vgsteff that is chained out at the end.
+   Validated against central finite differences in the device test
+   suite. *)
+let canonical_derivs p (k : float array) =
+  let vgs = k.(0) and vds = k.(1) and vbs = k.(2) in
   let l = leff p and w = weff p in
   let phit = p.phit in
   let argb = p.phis -. vbs in
-  let sq = sqrt (Float.max argb 1e-3) in
+  let sq = sqrt (fmax argb 1e-3) in
   let body = p.k1 *. (sq -. sqrt p.phis) in
   let body_b = if argb > 1e-3 then -.p.k1 /. (2.0 *. sq) else 0.0 in
   let rolloff = p.dvt0 *. exp (-.l /. p.dvt_l) in
@@ -93,8 +143,8 @@ let canonical_derivs p ~vgs ~vds ~vbs =
   let vth_d = -.dibl_k and vth_b = body_b in
   let nphit = p.n_ss *. phit in
   let sarg = (vgs -. vth) /. nphit in
-  let vgsteff = nphit *. Vstat_util.Floatx.softplus sarg in
-  let dsp = Vstat_util.Floatx.logistic sarg in
+  let vgsteff = nphit *. softplus sarg in
+  let dsp = logistic sarg in
   let vg_g = dsp in
   let vg_d = -.dsp *. vth_d in
   let vg_b = -.dsp *. vth_b in
@@ -130,31 +180,27 @@ let canonical_derivs p ~vgs ~vds ~vbs =
   let ve_b = b_eff *. vdsat_b in
   let cden = 2.0 *. (vgsteff +. (2.0 *. phit)) in
   let cf = 1.0 -. (vdseff /. cden) in
-  let cf_of ve_x vg_x =
-    (-.ve_x /. cden) +. (vdseff *. 2.0 *. vg_x /. (cden *. cden))
-  in
-  let cf_g = cf_of ve_g vg_g and cf_d = cf_of ve_d vg_d
-  and cf_b = cf_of ve_b vg_b in
+  let cf_g = cf_of ~cden ~vdseff ve_g vg_g
+  and cf_d = cf_of ~cden ~vdseff ve_d vg_d
+  and cf_b = cf_of ~cden ~vdseff ve_b vg_b in
   let dv2 = 1.0 +. (vdseff /. esat_l) in
-  let dv2_of ve_x vg_x =
-    (ve_x /. esat_l) -. (vdseff *. esl' *. vg_x /. (esat_l *. esat_l))
-  in
-  let dv2_g = dv2_of ve_g vg_g and dv2_d = dv2_of ve_d vg_d
-  and dv2_b = dv2_of ve_b vg_b in
+  let dv2_g = dv2_of ~esat_l ~esl' ~vdseff ve_g vg_g
+  and dv2_d = dv2_of ~esat_l ~esl' ~vdseff ve_d vg_d
+  and dv2_b = dv2_of ~esat_l ~esl' ~vdseff ve_b vg_b in
   let kk = p.cox *. w /. l in
   let id_core = kk *. mu_eff *. vgsteff *. vdseff *. cf /. dv2 in
-  let id_core_of vg_x ve_x cf_x dv2_x =
-    let prod_x =
-      (mu' *. vg_x *. vgsteff *. vdseff *. cf)
-      +. (mu_eff *. vg_x *. vdseff *. cf)
-      +. (mu_eff *. vgsteff *. ve_x *. cf)
-      +. (mu_eff *. vgsteff *. vdseff *. cf_x)
-    in
-    (kk *. prod_x /. dv2) -. (id_core *. dv2_x /. dv2)
+  let idc_g =
+    id_core_of ~kk ~mu' ~mu_eff ~vgsteff ~vdseff ~cf ~dv2 ~id_core vg_g ve_g
+      cf_g dv2_g
   in
-  let idc_g = id_core_of vg_g ve_g cf_g dv2_g in
-  let idc_d = id_core_of vg_d ve_d cf_d dv2_d in
-  let idc_b = id_core_of vg_b ve_b cf_b dv2_b in
+  let idc_d =
+    id_core_of ~kk ~mu' ~mu_eff ~vgsteff ~vdseff ~cf ~dv2 ~id_core vg_d ve_d
+      cf_d dv2_d
+  in
+  let idc_b =
+    id_core_of ~kk ~mu' ~mu_eff ~vgsteff ~vdseff ~cf ~dv2 ~id_core vg_b ve_b
+      cf_b dv2_b
+  in
   let lam_t = 1.0 +. (p.lambda *. (vds -. vdseff)) in
   let id = id_core *. lam_t in
   let id_g = (idc_g *. lam_t) -. (id_core *. p.lambda *. ve_g) in
@@ -164,57 +210,37 @@ let canonical_derivs p ~vgs ~vds ~vbs =
   let qi = wlc *. vgsteff in
   let qi_g = wlc *. vg_g and qi_d = wlc *. vg_d and qi_b = wlc *. vg_b in
   let raw_s = vdseff /. vdsat in
-  let sat_ratio = Vstat_util.Floatx.clamp ~lo:0.0 ~hi:1.0 raw_s in
+  let sat_ratio = fclamp ~lo:0.0 ~hi:1.0 raw_s in
   (* The lower clamp never binds (vds >= 0 in the canonical quadrant), so
      only the saturation-side clamp zeroes the slope. *)
-  let sat_of ve_x vdsat_x =
-    if raw_s < 1.0 then (ve_x -. (raw_s *. vdsat_x)) /. vdsat else 0.0
-  in
-  let s_g = sat_of ve_g vdsat_g and s_d = sat_of ve_d vdsat_d
-  and s_b = sat_of ve_b vdsat_b in
+  let s_g = sat_of ~raw_s ~vdsat ve_g vdsat_g
+  and s_d = sat_of ~raw_s ~vdsat ve_d vdsat_d
+  and s_b = sat_of ~raw_s ~vdsat ve_b vdsat_b in
   let qd_frac = 0.5 -. (0.1 *. sat_ratio) in
   let qdf_g = -0.1 *. s_g and qdf_d = -0.1 *. s_d and qdf_b = -0.1 *. s_b in
   let cw = p.cov *. w in
   let qov_s = cw *. vgs in
   let qov_d = cw *. (vgs -. vds) in
-  let state =
-    {
-      Device_model.id;
-      qg = qi +. qov_s +. qov_d;
-      qd = (-.qd_frac *. qi) -. qov_d;
-      qs = (-.(1.0 -. qd_frac) *. qi) -. qov_s;
-      qb = 0.0;
-    }
-  in
-  let grad =
-    {
-      Device_model.d_vgs =
-        {
-          Device_model.id = id_g;
-          qg = qi_g +. (2.0 *. cw);
-          qd = -.((qdf_g *. qi) +. (qd_frac *. qi_g)) -. cw;
-          qs = (qdf_g *. qi) -. ((1.0 -. qd_frac) *. qi_g) -. cw;
-          qb = 0.0;
-        };
-      d_vds =
-        {
-          Device_model.id = id_d;
-          qg = qi_d -. cw;
-          qd = -.((qdf_d *. qi) +. (qd_frac *. qi_d)) +. cw;
-          qs = (qdf_d *. qi) -. ((1.0 -. qd_frac) *. qi_d);
-          qb = 0.0;
-        };
-      d_vbs =
-        {
-          Device_model.id = id_b;
-          qg = qi_b;
-          qd = -.((qdf_b *. qi) +. (qd_frac *. qi_b));
-          qs = (qdf_b *. qi) -. ((1.0 -. qd_frac) *. qi_b);
-          qb = 0.0;
-        };
-    }
-  in
-  (state, grad)
+  k.(0) <- id;
+  k.(1) <- qi +. qov_s +. qov_d;
+  k.(2) <- (-.qd_frac *. qi) -. qov_d;
+  k.(3) <- (-.(1.0 -. qd_frac) *. qi) -. qov_s;
+  k.(4) <- 0.0;
+  k.(5) <- id_g;
+  k.(6) <- id_d;
+  k.(7) <- id_b;
+  k.(8) <- qi_g +. (2.0 *. cw);
+  k.(9) <- qi_d -. cw;
+  k.(10) <- qi_b;
+  k.(11) <- -.((qdf_g *. qi) +. (qd_frac *. qi_g)) -. cw;
+  k.(12) <- -.((qdf_d *. qi) +. (qd_frac *. qi_d)) +. cw;
+  k.(13) <- -.((qdf_b *. qi) +. (qd_frac *. qi_b));
+  k.(14) <- (qdf_g *. qi) -. ((1.0 -. qd_frac) *. qi_g) -. cw;
+  k.(15) <- (qdf_d *. qi) -. ((1.0 -. qd_frac) *. qi_d);
+  k.(16) <- (qdf_b *. qi) -. ((1.0 -. qd_frac) *. qi_b);
+  k.(17) <- 0.0;
+  k.(18) <- 0.0;
+  k.(19) <- 0.0
 
 let device ?(name = "bsim4lite") ~polarity p =
   Device_model.make ~name ~polarity ~width:(weff p) ~length:(leff p)

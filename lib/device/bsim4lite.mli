@@ -45,10 +45,11 @@ val vth : params -> vds:float -> vbs:float -> float
 val canonical : params -> Device_model.canonical_eval
 (** Canonical-quadrant equations (exposed for unit tests). *)
 
-val canonical_derivs : params -> Device_model.canonical_eval_derivs
+val canonical_derivs : params -> Device_model.canonical_kernel
 (** Canonical equations with analytic bias derivatives (conductances and
-    transcapacitances), the engine's fast Jacobian path; agrees with
-    {!canonical} and with finite differences (checked in tests). *)
+    transcapacitances) as an allocation-free in-place kernel, the engine's
+    fast Jacobian path; agrees with {!canonical} and with finite
+    differences (checked in tests). *)
 
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t

@@ -22,35 +22,36 @@ type canonical_eval = vgs:float -> vds:float -> vbs:float -> terminal_state
     [vds >= 0]; values follow NMOS sign conventions (id >= 0 for normal
     operation, charges in natural NMOS polarity). *)
 
-type canonical_grad = {
-  d_vgs : terminal_state;  (** partials of every output w.r.t. vgs *)
-  d_vds : terminal_state;  (** partials w.r.t. vds *)
-  d_vbs : terminal_state;  (** partials w.r.t. vbs *)
-}
-(** Gradient of the canonical outputs: each field reuses {!terminal_state}
-    as a container of the five partial derivatives w.r.t. one canonical
-    bias variable. *)
-
-type canonical_eval_derivs =
-  vgs:float -> vds:float -> vbs:float -> terminal_state * canonical_grad
+type canonical_kernel = float array -> unit
 (** Canonical equations evaluated together with their analytic bias
-    derivatives.  Must agree with the model's {!canonical_eval} values. *)
+    derivatives, in place on a caller-owned buffer of 20 floats, so an
+    evaluation allocates nothing.  Layout:
+    - in: [k.(0)], [k.(1)], [k.(2)] = vgs, vds, vbs (canonical quadrant,
+      vds >= 0), read before anything is written;
+    - out: [k.(0..4)] = id, qg, qd, qs, qb, the model's
+      {!canonical_eval} values (up to rounding: the two are separate
+      formula sequences);
+    - out: [k.(5 + 3*o + j)] = partial of output [o] (0..4, order as
+      above) w.r.t. bias [j] (0 = vgs, 1 = vds, 2 = vbs). *)
 
 type derivs = {
-  mutable v_id : float;  (** channel current, terminal convention *)
-  mutable v_qg : float;
-  mutable v_qd : float;
-  mutable v_qs : float;
-  mutable v_qb : float;
+  v : float array;
+      (** length 5, terminal convention: id (drain-to-source channel
+          current, into the drain), qg, qd, qs, qb *)
   did : float array;
       (** length 4: dId/dV at terminals (g, d, s, b) — gm, gds, gms, gmb *)
   dq : float array;
       (** length 16, row-major transcapacitance block: row = charge terminal
           (g, d, s, b), column = voltage terminal (g, d, s, b) *)
+  kbuf : float array;
+      (** length 20: the {!canonical_kernel}'s working buffer *)
 }
 (** Caller-provided output buffer for {!eval_derivs}: the circuit engine
-    allocates one per compiled system and reuses it every Newton iteration,
-    so the analytic hot path performs no per-evaluation allocation. *)
+    allocates one per MOSFET of a compiled system and reuses it every Newton
+    iteration.
+    Float arrays only — a mutable float record field would box on every
+    write — so the analytic path allocates nothing beyond the boxed float
+    arguments of the closure call itself. *)
 
 val make_derivs : unit -> derivs
 (** Fresh zeroed buffer. *)
@@ -67,7 +68,11 @@ type t = {
   eval : vg:float -> vd:float -> vs:float -> vb:float -> terminal_state;
   eval_derivs : eval_derivs option;
       (** Analytic derivative path; [None] falls back to the engine's
-          finite-difference Jacobian (5 evals per linearization). *)
+          finite-difference Jacobian (5 evals per linearization).  Its
+          outputs must depend on the terminal voltages only through
+          {!canonical_key}: true of every device {!make} builds and of
+          wrappers that pass the voltages through unchanged.  The
+          engine's device bypass relies on it. *)
 }
 
 val make :
@@ -75,44 +80,28 @@ val make :
   polarity:polarity ->
   width:float ->
   length:float ->
-  ?canonical_derivs:canonical_eval_derivs ->
+  ?canonical_derivs:canonical_kernel ->
   canonical:canonical_eval ->
   unit ->
   t
 (** Wrap canonical equations with polarity mirroring and Vds < 0 swap.
     When [canonical_derivs] is given, the same mirroring/swap chain rule is
-    applied to the analytic derivatives and exposed as [eval_derivs]. *)
+    applied to the kernel's analytic derivatives and exposed as
+    [eval_derivs]. *)
+
+val canonical_key : polarity -> float array -> unit
+(** [canonical_key polarity key] maps terminal voltages
+    [key.(0..3)] = vg, vd, vs, vb to what {!make}'s [eval_derivs] feeds
+    its kernel: [key.(0..2)] = the canonical vgs, vds, vbs (polarity
+    mirrored, source and drain ordered so vds >= 0) and [key.(3)] = 1.0
+    when source and drain swapped, else 0.0.  Two calls with bitwise
+    equal keys produce bitwise equal outputs, however their terminal
+    voltages differ; the circuit engine's device bypass keys on this.
+    Allocates nothing. *)
 
 val without_derivs : t -> t
 (** The same device with the analytic path stripped — forces the engine's
     finite-difference fallback (ablation benches and tests). *)
-
-(** {1 Retargetable proxies}
-
-    A proxy is a device whose evaluation functions forward to a mutable
-    target.  Compiling a circuit once over proxy devices and then
-    retargeting them per Monte Carlo sample lets a batched runner reuse one
-    engine (and its shared sparse symbolic analysis) for every sample
-    instead of rebuilding the netlist: only the numeric model behind each
-    transistor changes.  A proxy is mutable shared state — use one proxy
-    set per engine per worker, never across domains. *)
-
-type proxy
-(** Handle used to swap the device behind a compiled circuit. *)
-
-val proxy : t -> proxy
-(** [proxy template] is a fresh proxy initially forwarding to [template]. *)
-
-val proxy_device : proxy -> t
-(** The circuit-facing device: place this in the netlist.  Its [eval] /
-    [eval_derivs] read the proxy's current target on every call.  The
-    derivative path is present iff the template had one. *)
-
-val retarget : proxy -> t -> unit
-(** Point the proxy at a new target.
-    @raise Invalid_argument if the new target's polarity differs from the
-      template's, or if analytic-derivative availability differs (the
-      engine's analytic/FD choice is fixed per compiled circuit). *)
 
 val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Drain current only (sign follows the real terminal convention: positive

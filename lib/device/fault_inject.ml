@@ -97,8 +97,8 @@ let wrap plan (dev : Device_model.t) =
         if engaged () then
           match plan.kind with
           | Raise -> raise (Injected (fault_msg ()))
-          | Nan_current -> buf.Device_model.v_id <- Float.nan
-          | Inf_current -> buf.Device_model.v_id <- Float.infinity
+          | Nan_current -> buf.Device_model.v.(0) <- Float.nan
+          | Inf_current -> buf.Device_model.v.(0) <- Float.infinity
           | Perturb_derivs ->
             (* Corrupt the Jacobian only: the residual stays honest, so
                Newton either limps to the true solution or fails typed. *)

@@ -36,7 +36,19 @@ type config = {
 
 type plan = {
   device_ordinal : int;  (** which device (creation order mod span) faults *)
-  at_eval : int;         (** 1-based evaluation ordinal the fault engages at *)
+  at_eval : int;
+      (** 1-based evaluation ordinal the fault engages at.  Counts the
+          evaluations actually made on the wrapped device: the circuit
+          engine's device bypass serves a repeat of the previous call's
+          canonical biases from its memo without calling the device, so
+          bypass hits do not advance the count (and a faulted output is
+          served again on such a repeat).  A fault therefore engages later
+          in a circuit run than an ordinal counting every stamp would
+          suggest (chain-48 makes about a quarter as many calls per device
+          as it has stamps), and on a circuit whose devices make fewer
+          than [at_eval] calls it never engages; the INV, NAND2 and SRAM
+          read-SNM cells make enough that every rate-1 plan engages
+          (test/chaos_smoke.ml). *)
   kind : kind;
 }
 

@@ -1,11 +1,34 @@
+(* Local copies of [Float.max] and [Floatx.clamp]/[softplus]/[logistic]
+   with the same semantics (NaN and signed zero included), so that the
+   derivative kernel below allocates nothing: they are forced inline and
+   defined in this module because classic ocamlopt boxes the float
+   argument and result of every out-of-line call, and the dev profile's
+   -opaque compiles forbid inlining across modules.  [delta_of_length]
+   and [exp_guard] are forced inline for the same reason. *)
+let[@inline always] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if (x <> x) [@vstat.allow "float-compare"] then x else y
+  else if (y <> y) [@vstat.allow "float-compare"] then y
+  else x
+
+let[@inline always] fclamp ~lo ~hi (x : float) =
+  if x < lo then lo else if x > hi then hi else x
+
+let[@inline always] softplus x =
+  if x > 40.0 then x else if x < -40.0 then exp x else log1p (exp x)
+
+let[@inline always] logistic x =
+  if x > 40.0 then 1.0
+  else if x < -40.0 then exp x
+  else 1.0 /. (1.0 +. exp (-.x))
+
 type dibl = { delta0 : float; l_nominal : float; l_scale : float }
 
 (* Clamped to a physical range: DIBL beyond ~0.4 V/V means punch-through,
    outside the model's validity (also keeps extreme Monte Carlo length draws
    from producing absurd devices). *)
-let delta_of_length d l =
-  Vstat_util.Floatx.clamp ~lo:1e-4 ~hi:0.4
-    (d.delta0 *. exp ((d.l_nominal -. l) /. d.l_scale))
+let[@inline always] delta_of_length d l =
+  fclamp ~lo:1e-4 ~hi:0.4 (d.delta0 *. exp ((d.l_nominal -. l) /. d.l_scale))
 
 type params = {
   w : float;
@@ -26,11 +49,11 @@ type params = {
   ballistic_b : float;
 }
 
-let delta p = delta_of_length p.dibl p.l
+let[@inline always] delta p = delta_of_length p.dibl p.l
 
 (* Exponentials are guarded so that wild Newton iterates (tens of volts)
    saturate smoothly instead of overflowing. *)
-let exp_guard x = exp (Vstat_util.Floatx.clamp ~lo:(-60.0) ~hi:60.0 x)
+let[@inline always] exp_guard x = exp (fclamp ~lo:(-60.0) ~hi:60.0 x)
 
 let canonical p ~vgs ~vds ~vbs =
   let phit = p.phit in
@@ -65,15 +88,19 @@ let canonical p ~vgs ~vds ~vbs =
     qb = 0.0;
   }
 
-(* Analytic bias derivatives of [canonical].  The formula sequence mirrors
-   the value path above; suffixes _g/_d/_b are partials w.r.t. vgs/vds/vbs.
-   Validated against central finite differences in the device test suite. *)
-let canonical_derivs p ~vgs ~vds ~vbs =
+(* Analytic bias derivatives of [canonical] as a {!Device_model}
+   kernel: reads vgs/vds/vbs from [k] and writes the 5 values and 15
+   partials back (layout in device_model.mli).  The formula sequence
+   mirrors the value path above; suffixes _g/_d/_b are partials w.r.t.
+   vgs/vds/vbs.  Validated against central finite differences in the
+   device test suite. *)
+let canonical_derivs p (k : float array) =
+  let vgs = k.(0) and vds = k.(1) and vbs = k.(2) in
   let phit = p.phit in
   let n = p.n0 +. (p.nd *. vds) in
   let n_d = p.nd in
   let argb = p.phib -. vbs in
-  let sq = sqrt (Float.max argb 1e-3) in
+  let sq = sqrt (fmax argb 1e-3) in
   let vt_body = p.gamma_body *. (sq -. sqrt p.phib) in
   (* Zero slope once the sqrt argument clamps (deep forward body bias). *)
   let vt_body_b = if argb > 1e-3 then -.p.gamma_body /. (2.0 *. sq) else 0.0 in
@@ -98,8 +125,8 @@ let canonical_derivs p ~vgs ~vds ~vbs =
   let sarg_g = numer_g /. denom in
   let sarg_d = (numer_d -. (sarg *. phit *. n_d)) /. denom in
   let sarg_b = numer_b /. denom in
-  let sp = Vstat_util.Floatx.softplus sarg in
-  let dsp = Vstat_util.Floatx.logistic sarg in
+  let sp = softplus sarg in
+  let dsp = logistic sarg in
   let qixo = p.cinv *. denom *. sp in
   let qixo_g = p.cinv *. denom *. dsp *. sarg_g in
   let qixo_d = p.cinv *. ((phit *. n_d *. sp) +. (denom *. dsp *. sarg_d)) in
@@ -136,44 +163,26 @@ let canonical_derivs p ~vgs ~vds ~vbs =
   let cw = p.cov *. p.w in
   let qov_s = cw *. vgs in
   let qov_d = cw *. (vgs -. vds) in
-  let state =
-    {
-      Device_model.id;
-      qg = qi +. qov_s +. qov_d;
-      qd = (-.qd_frac *. qi) -. qov_d;
-      qs = (-.(1.0 -. qd_frac) *. qi) -. qov_s;
-      qb = 0.0;
-    }
-  in
-  let grad =
-    {
-      Device_model.d_vgs =
-        {
-          Device_model.id = id_g;
-          qg = qi_g +. (2.0 *. cw);
-          qd = -.((qdf_g *. qi) +. (qd_frac *. qi_g)) -. cw;
-          qs = (qdf_g *. qi) -. ((1.0 -. qd_frac) *. qi_g) -. cw;
-          qb = 0.0;
-        };
-      d_vds =
-        {
-          Device_model.id = id_d;
-          qg = qi_d -. cw;
-          qd = -.((qdf_d *. qi) +. (qd_frac *. qi_d)) +. cw;
-          qs = (qdf_d *. qi) -. ((1.0 -. qd_frac) *. qi_d);
-          qb = 0.0;
-        };
-      d_vbs =
-        {
-          Device_model.id = id_b;
-          qg = qi_b;
-          qd = -.((qdf_b *. qi) +. (qd_frac *. qi_b));
-          qs = (qdf_b *. qi) -. ((1.0 -. qd_frac) *. qi_b);
-          qb = 0.0;
-        };
-    }
-  in
-  (state, grad)
+  k.(0) <- id;
+  k.(1) <- qi +. qov_s +. qov_d;
+  k.(2) <- (-.qd_frac *. qi) -. qov_d;
+  k.(3) <- (-.(1.0 -. qd_frac) *. qi) -. qov_s;
+  k.(4) <- 0.0;
+  k.(5) <- id_g;
+  k.(6) <- id_d;
+  k.(7) <- id_b;
+  k.(8) <- qi_g +. (2.0 *. cw);
+  k.(9) <- qi_d -. cw;
+  k.(10) <- qi_b;
+  k.(11) <- -.((qdf_g *. qi) +. (qd_frac *. qi_g)) -. cw;
+  k.(12) <- -.((qdf_d *. qi) +. (qd_frac *. qi_d)) +. cw;
+  k.(13) <- -.((qdf_b *. qi) +. (qd_frac *. qi_b));
+  k.(14) <- (qdf_g *. qi) -. ((1.0 -. qd_frac) *. qi_g) -. cw;
+  k.(15) <- (qdf_d *. qi) -. ((1.0 -. qd_frac) *. qi_d);
+  k.(16) <- (qdf_b *. qi) -. ((1.0 -. qd_frac) *. qi_b);
+  k.(17) <- 0.0;
+  k.(18) <- 0.0;
+  k.(19) <- 0.0
 
 let device ?(name = "vs") ~polarity p =
   Device_model.make ~name ~polarity ~width:p.w ~length:p.l

@@ -52,10 +52,13 @@ val delta : params -> float
 val canonical : params -> Device_model.canonical_eval
 (** Raw canonical-quadrant equations (exposed for unit tests). *)
 
-val canonical_derivs : params -> Device_model.canonical_eval_derivs
+val canonical_derivs : params -> Device_model.canonical_kernel
 (** Canonical equations with analytic bias derivatives (conductances and
-    transcapacitances), the engine's fast Jacobian path; agrees with
-    {!canonical} and with finite differences (checked in tests). *)
+    transcapacitances) as an allocation-free in-place kernel, the engine's
+    fast Jacobian path; agrees with {!canonical} to rounding and with
+    finite differences (checked in tests).  Kept separate from
+    {!canonical}, whose arithmetic is rounded differently and feeds
+    nominal extraction. *)
 
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t

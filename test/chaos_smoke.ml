@@ -6,7 +6,9 @@
    bench asserts the headline resilience claims: every injected failure is
    recovered by the ladder, recovered statistics match the clean run, dead
    samples are categorized as [injected_fault], and every configuration is
-   bit-identical between jobs:1 and jobs:4. *)
+   bit-identical between jobs:1 and jobs:4.  A rate-1 run per cell (INV,
+   NAND2 and the SRAM read SNM) checks that every planned fault still
+   engages behind the engine's device bypass. *)
 
 module Rt = Vstat_runtime.Runtime
 module FI = Vstat_device.Fault_inject
@@ -40,8 +42,8 @@ let nand_measure tech =
 
 let inject = { FI.rate = 0.05; kind = FI.Raise; seed = 0x1d0a }
 
-let run ~label ~measure ?retry ?inject jobs =
-  Mc.collect_run ~jobs ?retry ?inject ~label ~n ~tech_of_rng
+let run ~label ~measure ?max_failure_frac ?retry ?inject jobs =
+  Mc.collect_run ~jobs ?max_failure_frac ?retry ?inject ~label ~n ~tech_of_rng
     ~rng:(Vstat_util.Rng.create ~seed:2026) ~measure ()
 
 let exercise name measure =
@@ -85,9 +87,39 @@ let exercise name measure =
     name n (Rt.failed_count d1) r1.Rt.stats.Rt.recovered_samples mean_drift
     sigma_drift
 
+let sram_measure tech =
+  Vstat_cells.Sram6t.snm (Vstat_cells.Sram6t.sample tech)
+    ~mode:Vstat_cells.Sram6t.Read
+
+(* Coverage under the engine's device bypass: bypass hits do not advance a
+   wrapped device's evaluation counter, so a planned fault engages only
+   once its device has made [at_eval] (at most 256) real calls.  Every
+   sample at rate 1 carries a plan whose device ordinal names a real
+   transistor of these cells, so each sample must still die with a typed
+   injected fault, for a raising and for a NaN-current fault alike. *)
+let engages name measure =
+  List.iter
+    (fun kind ->
+      let inject = { inject with FI.rate = 1.0; kind } in
+      let r =
+        run ~label:(name ^ "/rate1") ~measure ~max_failure_frac:1.0
+          ~retry:Rt.no_retry ~inject 1
+      in
+      let dead = Rt.failed_count r in
+      check
+        (Printf.sprintf "%s: every rate-1 %s fault engages (%d/%d)" name
+           (FI.kind_name kind) dead n)
+        (dead = n);
+      Printf.printf "chaos %-5s: rate-1 %s faults engaged in %d/%d samples\n"
+        name (FI.kind_name kind) dead n)
+    [ FI.Raise; FI.Nan_current ]
+
 let () =
   exercise "inv" inv_measure;
   exercise "nand2" nand_measure;
+  engages "inv" inv_measure;
+  engages "nand2" nand_measure;
+  engages "sram" sram_measure;
   match !failures with
   | [] ->
     print_endline

@@ -425,6 +425,188 @@ let test_fd_fallback_matches_analytic () =
   Alcotest.(check bool) "fd evals are 5 per linearization" true
     (cnt2.E.fd_evaluations mod 5 = 0 && cnt2.E.fd_evaluations > 0)
 
+(* --- device bypass --- *)
+
+(* The bypass must be invisible: an engine whose memo is warm (every
+   device a hit, or a hit on some and a miss on others) produces bitwise
+   the Jacobian and residual of a freshly compiled engine (every device a
+   miss).  Random small netlists of VS and BSIM devices of both
+   polarities over four nodes, one of them a source-driven rail, at
+   random biases drawn partly from a set with repeats and both signed
+   zeros, so coincident and sign-of-zero-only terminal differences are
+   exercised. *)
+let bypass_devices =
+  [|
+    Cards.vs_seed_device ~polarity:Dm.Nmos ~w_nm:300.0 ~l_nm:40.0;
+    Cards.vs_seed_device ~polarity:Dm.Pmos ~w_nm:600.0 ~l_nm:40.0;
+    Cards.bsim_device ~polarity:Dm.Nmos ~w_nm:300.0 ~l_nm:40.0;
+    Cards.bsim_device ~polarity:Dm.Pmos ~w_nm:600.0 ~l_nm:40.0;
+  |]
+
+let build_random_mos specs =
+  let c = N.create () in
+  (* Sequenced lets, not an array literal (evaluated right to left), so
+     rail, a, b, c get node indices 1..4 and x slots 0..3. *)
+  let rail = N.node c "rail" in
+  let a = N.node c "a" in
+  let b = N.node c "b" in
+  let cc = N.node c "c" in
+  let nodes = [| N.ground c; rail; a; b; cc |] in
+  N.vsource c "vrail" ~plus:nodes.(1) ~minus:nodes.(0) ~wave:(W.Dc vdd);
+  List.iteri
+    (fun i (dev, d, g, s, b) ->
+      N.mosfet c (Printf.sprintf "m%d" i) ~d:nodes.(d) ~g:nodes.(g)
+        ~s:nodes.(s) ~b:nodes.(b) ~dev:bypass_devices.(dev))
+    specs;
+  c
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_matrix a b =
+  let module Mx = Vstat_linalg.Matrix in
+  Mx.rows a = Mx.rows b
+  && Mx.cols a = Mx.cols b
+  &&
+  let ok = ref true in
+  for i = 0 to Mx.rows a - 1 do
+    for j = 0 to Mx.cols a - 1 do
+      if not (same_bits (Mx.get a i j) (Mx.get b i j)) then ok := false
+    done
+  done;
+  !ok
+
+let prop_bypass_bit_identical =
+  let open QCheck in
+  let node = int_range 0 4 in
+  let spec = quad (int_range 0 3) (pair node node) node node in
+  let bias =
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 0.45; vdd; -0.3 ];
+        float_range (-0.5) 1.2;
+      ]
+  in
+  (* x: 4 node voltages then the rail source's branch current. *)
+  let xgen = array_of_size (Gen.return 5) bias in
+  Test.make ~name:"bypass: warm engine bitwise equals fresh engine"
+    ~count:150
+    (triple (list_of_size (Gen.int_range 1 5) spec) xgen xgen)
+    (fun (raw, x1, x2) ->
+      let specs = List.map (fun (dev, (d, g), s, b) -> (dev, d, g, s, b)) raw in
+      let op x = { E.x; time = 0.0 } in
+      let n_mos = List.length specs in
+      (* Warm: evaluated at x1, then at x2 twice, so the last pass is all
+         hits. *)
+      let warm = E.compile (build_random_mos specs) in
+      ignore (E.linearize warm (op x1));
+      let g_mixed, c_mixed = E.linearize warm (op x2) in
+      let before = (E.counters warm).E.model_evaluations in
+      let g_hit, c_hit = E.linearize warm (op x2) in
+      let r_hit = E.residual_norm warm (op x2) in
+      let all_hits = (E.counters warm).E.model_evaluations = before in
+      let fresh = E.compile (build_random_mos specs) in
+      let g_f, c_f = E.linearize fresh (op x2) in
+      let fresh_evals = (E.counters fresh).E.model_evaluations in
+      let r_f = E.residual_norm (E.compile (build_random_mos specs)) (op x2) in
+      all_hits
+      (* linearize assembles twice at one x: the second is all hits *)
+      && fresh_evals = n_mos
+      && same_matrix g_mixed g_f && same_matrix c_mixed c_f
+      && same_matrix g_hit g_f && same_matrix c_hit c_f
+      && same_bits r_hit r_f)
+
+(* The key is compared bit for bit: a drain at -0.0 after one at 0.0 is a
+   new evaluation (float [=] would alias them), a repeat is not. *)
+let test_bypass_signed_zero_misses () =
+  let specs = [ (0, 2, 1, 0, 0) ] in
+  let eng = E.compile (build_random_mos specs) in
+  let evals () = (E.counters eng).E.model_evaluations in
+  let at a = { E.x = [| vdd; a; 0.0; 0.0; 0.0 |]; time = 0.0 } in
+  ignore (E.residual_norm eng (at 0.0));
+  let e0 = evals () in
+  ignore (E.residual_norm eng (at 0.0));
+  Alcotest.(check int) "repeat is a hit" e0 (evals ());
+  ignore (E.residual_norm eng (at (-0.0)));
+  Alcotest.(check int) "-0.0 after 0.0 is a miss" (e0 + 1) (evals ())
+
+(* A device call that raises may already have written its slot's buffer
+   (a wrapper that checks after the model call does), so the slot must be
+   invalid until a call returns: revisiting the last good bias afterwards
+   is a new evaluation that reproduces the first one bit for bit. *)
+let test_bypass_raise_leaves_no_stale_slot () =
+  let fail_next = ref false in
+  let base = bypass_devices.(0) in
+  let dev =
+    {
+      base with
+      Dm.eval_derivs =
+        Option.map
+          (fun ed ~vg ~vd ~vs ~vb buf ->
+            ed ~vg ~vd ~vs ~vb buf;
+            if !fail_next then failwith "injected")
+          base.Dm.eval_derivs;
+    }
+  in
+  let c = N.create () in
+  let g = N.node c "g" in
+  let d = N.node c "d" in
+  let gnd = N.ground c in
+  N.vsource c "vg" ~plus:g ~minus:gnd ~wave:(W.Dc vdd);
+  N.resistor c "rd" ~a:d ~b:gnd ~ohms:1e4;
+  N.mosfet c "m0" ~d ~g ~s:gnd ~b:gnd ~dev;
+  let eng = E.compile c in
+  let evals () = (E.counters eng).E.model_evaluations in
+  let at vd = { E.x = [| vdd; vd; 0.0 |]; time = 0.0 } in
+  let r1 = E.residual_norm eng (at 0.4) in
+  fail_next := true;
+  (match E.residual_norm eng (at 0.7) with
+  | _ -> Alcotest.fail "expected the device to raise"
+  | exception Failure _ -> ());
+  fail_next := false;
+  let e0 = evals () in
+  let r1' = E.residual_norm eng (at 0.4) in
+  Alcotest.(check int) "revisit after a raise is a miss" (e0 + 1) (evals ());
+  Alcotest.(check bool) "revisit reproduces the first evaluation" true
+    (same_bits r1 r1')
+
+(* A MOSFET inverter chain driven by a ramp: the transient repeats most
+   device evaluations (quiet stages, each step's first iteration at the
+   previous step's final assembly point), so the bypass must keep model
+   calls strictly below one per MOSFET per assembly. *)
+let build_inverter_chain ~stages =
+  let c = N.create () in
+  let gnd = N.ground c in
+  let nvdd = N.node c "vdd" in
+  let nin = N.node c "in" in
+  N.vsource c "vvdd" ~plus:nvdd ~minus:gnd ~wave:(W.Dc vdd);
+  N.vsource c "vin" ~plus:nin ~minus:gnd
+    ~wave:(W.pwl [| (20e-12, 0.0); (30e-12, vdd) |]);
+  let prev = ref nin in
+  for i = 1 to stages do
+    let out = N.node c (Printf.sprintf "s%d" i) in
+    N.mosfet c (Printf.sprintf "mp%d" i) ~d:out ~g:!prev ~s:nvdd ~b:nvdd
+      ~dev:bypass_devices.(1);
+    N.mosfet c (Printf.sprintf "mn%d" i) ~d:out ~g:!prev ~s:gnd ~b:gnd
+      ~dev:bypass_devices.(0);
+    N.capacitor c (Printf.sprintf "c%d" i) ~a:out ~b:gnd ~farads:1e-15;
+    prev := out
+  done;
+  c
+
+let test_bypass_skips_repeats () =
+  let stages = 6 in
+  let eng = E.compile (build_inverter_chain ~stages) in
+  ignore (E.transient eng ~tstop:150e-12 ~dt:1e-12);
+  let cnt = E.counters eng in
+  let mosfets = 2 * stages in
+  Alcotest.(check bool)
+    (Printf.sprintf "model evals %d < %d MOSFETs x %d assemblies"
+       cnt.E.model_evaluations mosfets cnt.E.assemblies)
+    true
+    (cnt.E.model_evaluations < mosfets * cnt.E.assemblies);
+  Alcotest.(check int) "model evals = analytic" cnt.E.model_evaluations
+    cnt.E.analytic_evaluations
+
 let test_node_identity () =
   let c = N.create () in
   let a = N.node c "x" in
@@ -887,6 +1069,16 @@ let () =
             test_counters_per_phase;
           Alcotest.test_case "fd fallback" `Quick
             test_fd_fallback_matches_analytic;
+        ] );
+      ( "bypass",
+        [
+          QCheck_alcotest.to_alcotest prop_bypass_bit_identical;
+          Alcotest.test_case "chain transient skips repeats" `Quick
+            test_bypass_skips_repeats;
+          Alcotest.test_case "signed zero misses" `Quick
+            test_bypass_signed_zero_misses;
+          Alcotest.test_case "raise leaves no stale slot" `Quick
+            test_bypass_raise_leaves_no_stale_slot;
         ] );
       ( "ac-extra",
         [

@@ -315,11 +315,11 @@ let test_derivs_values_match_eval () =
               true
               (Vstat_util.Floatx.close ~rtol:1e-12 ~atol:1e-30 expected actual)
           in
-          chk "id" st.Dm.id buf.Dm.v_id;
-          chk "qg" st.qg buf.v_qg;
-          chk "qd" st.qd buf.v_qd;
-          chk "qs" st.qs buf.v_qs;
-          chk "qb" st.qb buf.v_qb)
+          chk "id" st.Dm.id buf.Dm.v.(0);
+          chk "qg" st.qg buf.v.(1);
+          chk "qd" st.qd buf.v.(2);
+          chk "qs" st.qs buf.v.(3);
+          chk "qb" st.qb buf.v.(4))
         (deriv_grid_for d))
     all_devices
 
@@ -419,6 +419,41 @@ let prop_derivs_match_fd_random =
           in
           ok buf.Dm.did.(0) gm_fd && ok buf.Dm.did.(1) gds_fd)
         all_devices)
+
+(* Allocation gate for the derivative kernels: a call of [eval_derivs]
+   may allocate only the boxes of its four float arguments (8 words, the
+   unavoidable cost of a closure call under classic ocamlopt); the
+   polarity mirror, the Vds < 0 swap and the VS/BSIM kernels allocate
+   nothing.  Measured by differencing two loop lengths, so the fixed
+   costs cancel; the loop feeds freshly computed (boxed) voltages, as the
+   engine does.  Both quadrants of both polarities: [vs] = 0 leaves an
+   NMOS unswapped and swaps a PMOS, [vs] = 0.6 the reverse. *)
+let test_eval_derivs_allocation () =
+  List.iter
+    (fun (name, d) ->
+      let ed = eval_derivs_exn d in
+      let buf = Dm.make_derivs () in
+      List.iter
+        (fun vs0 ->
+          let run n =
+            for i = 1 to n do
+              let x = 1e-3 *. Float.of_int i in
+              ed ~vg:(0.5 +. x) ~vd:(0.3 +. x) ~vs:(vs0 +. x) ~vb:(0.0 +. x) buf
+            done
+          in
+          run 10;
+          let m0 = Gc.minor_words () in
+          run 1000;
+          let m1 = Gc.minor_words () in
+          run 2000;
+          let m2 = Gc.minor_words () in
+          let per_call = ((m2 -. m1) -. (m1 -. m0)) /. 1000.0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s vs=%g: %.2f words per eval_derivs <= 8" name
+               vs0 per_call)
+            true (per_call <= 8.0))
+        [ 0.0; 0.6 ])
+    all_devices
 
 (* --- fault injection --- *)
 
@@ -548,6 +583,8 @@ let () =
           Alcotest.test_case "without_derivs strips" `Quick
             test_without_derivs_strips_path;
           QCheck_alcotest.to_alcotest prop_derivs_match_fd_random;
+          Alcotest.test_case "eval_derivs allocates only its arguments"
+            `Quick test_eval_derivs_allocation;
         ] );
       ( "metrics",
         [

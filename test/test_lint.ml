@@ -423,6 +423,73 @@ let test_zero_alloc_transient () =
   Alcotest.(check (float 0.0))
     "minor words for 100 extra transient steps" 0.0 (second -. first)
 
+(* The same methodology over a MOSFET inverter chain driven by a PWL
+   edge, where the hot path now includes device evaluation.  Two
+   allowances remain, both documented at [Engine.assemble]:
+   - a bypass miss calls the device's [eval_derivs] closure, which boxes
+     its four float arguments: at most 8 words per model evaluation (the
+     VS/BSIM kernels behind it allocate nothing);
+   - each independent-source evaluation calls the out-of-line
+     [Waveform.value], boxing its time argument and (for a computed
+     waveform) its result: at most 4 words per source per assembly.
+   The extra steps of the longer run may allocate no more than those
+   allowances for the extra model evaluations and assemblies that the
+   engine counters report. *)
+let test_alloc_mosfet_chain () =
+  let module Dm = Vstat_device.Device_model in
+  let module Cards = Vstat_device.Cards in
+  let module W = Vstat_circuit.Waveform in
+  let vdd = Cards.vdd_nominal in
+  let nmos = Cards.vs_seed_device ~polarity:Dm.Nmos ~w_nm:300.0 ~l_nm:40.0 in
+  let pmos = Cards.bsim_device ~polarity:Dm.Pmos ~w_nm:600.0 ~l_nm:40.0 in
+  let net = N.create () in
+  let gnd = N.ground net in
+  let nvdd = N.node net "vdd" in
+  let nin = N.node net "in" in
+  N.vsource net "vvdd" ~plus:nvdd ~minus:gnd ~wave:(W.Dc vdd);
+  N.vsource net "vin" ~plus:nin ~minus:gnd
+    ~wave:(W.pwl [| (20e-12, 0.0); (30e-12, vdd) |]);
+  let sources = 2 in
+  let prev = ref nin in
+  for i = 1 to 4 do
+    let out = N.node net (Printf.sprintf "s%d" i) in
+    N.mosfet net (Printf.sprintf "mp%d" i) ~d:out ~g:!prev ~s:nvdd ~b:nvdd
+      ~dev:pmos;
+    N.mosfet net (Printf.sprintf "mn%d" i) ~d:out ~g:!prev ~s:gnd ~b:gnd
+      ~dev:nmos;
+    N.capacitor net (Printf.sprintf "c%d" i) ~a:out ~b:gnd ~farads:1e-15;
+    prev := out
+  done;
+  let eng = E.compile net in
+  let dt = 1e-12 in
+  let run steps =
+    ignore (E.transient_raw eng ~tstop:(Float.of_int steps *. dt) ~dt)
+  in
+  run 50;
+  let c0 = E.counters eng and m0 = Gc.minor_words () in
+  run 100;
+  let c1 = E.counters eng and m1 = Gc.minor_words () in
+  run 200;
+  let c2 = E.counters eng and m2 = Gc.minor_words () in
+  let d_words = (m2 -. m1) -. (m1 -. m0) in
+  let d_evals =
+    (c2.E.model_evaluations - c1.E.model_evaluations)
+    - (c1.E.model_evaluations - c0.E.model_evaluations)
+  in
+  let d_asm =
+    (c2.E.assemblies - c1.E.assemblies) - (c1.E.assemblies - c0.E.assemblies)
+  in
+  let allowance = Float.of_int ((8 * d_evals) + (4 * sources * d_asm)) in
+  if d_evals <= 0 || d_asm <= 0 then
+    Alcotest.failf "expected extra work in the longer run (%d evals, %d \
+                    assemblies)" d_evals d_asm;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%.0f extra words <= %.0f (8 x %d model evals + 4 x %d sources x %d \
+        assemblies)"
+       d_words allowance d_evals sources d_asm)
+    true (d_words <= allowance)
+
 (* The sparse counterpart: one KLU-style numeric iteration
    (clear / stamp by precomputed slots / factor / solve) must allocate
    nothing, same methodology as the transient gate above — the 100 extra
@@ -507,5 +574,7 @@ let () =
             test_zero_alloc_transient;
           Alcotest.test_case "sparse factor/solve loop allocates zero" `Quick
             test_zero_alloc_sparse;
+          Alcotest.test_case "MOSFET chain allocates only the allowances"
+            `Quick test_alloc_mosfet_chain;
         ] );
     ]
