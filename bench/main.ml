@@ -15,7 +15,8 @@
                   (Figs. 5-9)
    - speed/*    : raw model-evaluation cost and per-sample circuit cost for
                   both models through the same engine (Table IV)
-   - ablation/* : backward-Euler vs trapezoidal integration
+   - ablation/* : backward-Euler vs trapezoidal integration and analytic
+                  vs finite-difference Jacobians, on one inverter transient
 
    Run with: dune exec bench/main.exe *)
 
@@ -127,25 +128,15 @@ let bench_ellipse =
 let vs_tech rng = Vstat_core.Techs.stochastic_vs pipeline ~rng ~vdd
 let bsim_tech rng = Vstat_core.Techs.stochastic_bsim pipeline ~rng ~vdd
 
-let bench_inv_sample name tech_of =
+let bench_fo3_sample name gate ~wp_nm tech_of =
   let rng = bench_rng () in
   Test.make ~name
     (Staged.stage (fun () ->
          let tech = tech_of (Vstat_util.Rng.split rng) in
          let s =
-           Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+           Vstat_cells.Fanout.sample gate tech ~wp_nm ~wn_nm:300.0 ~fanout:3
          in
-         Vstat_cells.Inverter.measure s))
-
-let bench_nand2_sample name tech_of =
-  let rng = bench_rng () in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let tech = tech_of (Vstat_util.Rng.split rng) in
-         let s =
-           Vstat_cells.Nand2.sample tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3
-         in
-         Vstat_cells.Nand2.measure s))
+         Vstat_cells.Fanout.measure s))
 
 let bench_dff_capture name tech_of =
   (* One capture transient: the unit of work inside the setup-time
@@ -185,50 +176,9 @@ let bsim_dev =
   Vstat_core.Bsim_statistical.nominal_device pipeline.golden_nmos ~w_nm:600.0
     ~l_nm:40.0
 
-let bench_transient integrator trap =
-  let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
-  let s =
-    Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
-  in
-  (* Rebuild the netlist inside the closure so each run is independent. *)
-  Test.make ~name:("ablation/integrator-" ^ integrator)
-    (Staged.stage (fun () ->
-         ignore trap;
-         let window = Vstat_cells.Inverter.default_window ~vdd in
-         ignore window;
-         Vstat_cells.Inverter.measure s))
-
-let bench_transient_be = bench_transient "backward-euler" false
-(* Trapezoidal comparison runs through the engine API directly. *)
-
-let bench_trap_engine =
-  let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
-  let devices =
-    Vstat_cells.Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0
-  in
-  let build () =
-    let net = Vstat_circuit.Netlist.create () in
-    let gnd = Vstat_circuit.Netlist.ground net in
-    let nvdd = Vstat_circuit.Netlist.node net "vdd" in
-    let nin = Vstat_circuit.Netlist.node net "in" in
-    let nout = Vstat_circuit.Netlist.node net "out" in
-    Vstat_circuit.Netlist.vsource net "vvdd" ~plus:nvdd ~minus:gnd
-      ~wave:(Vstat_circuit.Waveform.Dc vdd);
-    Vstat_circuit.Netlist.vsource net "vin" ~plus:nin ~minus:gnd
-      ~wave:(Vstat_circuit.Waveform.pwl [| (50e-12, 0.0); (60e-12, vdd) |]);
-    Vstat_cells.Gates.add_inverter net ~name:"x" ~devices ~input:nin
-      ~output:nout ~vdd_node:nvdd ~gnd;
-    Vstat_circuit.Netlist.capacitor net "cl" ~a:nout ~b:gnd ~farads:2e-15;
-    Vstat_circuit.Engine.compile net
-  in
-  Test.make ~name:"ablation/integrator-trapezoidal"
-    (Staged.stage (fun () ->
-         let eng = build () in
-         Vstat_circuit.Engine.transient ~trap:true eng ~tstop:400e-12 ~dt:1e-12))
-
-(* Analytic-vs-FD Jacobian ablation: the same inverter transient with the
-   devices' analytic derivative path stripped, forcing the 5-evals-per-device
-   finite-difference linearization the engine used to always pay. *)
+(* The ablation inverter.  [strip_derivs] strips the devices' analytic
+   derivative path, forcing the 5-evals-per-device finite-difference
+   linearization the engine used to always pay. *)
 let build_inverter_engine ~strip_derivs =
   let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
   let devices =
@@ -257,17 +207,14 @@ let build_inverter_engine ~strip_derivs =
   Vstat_circuit.Netlist.capacitor net "cl" ~a:nout ~b:gnd ~farads:2e-15;
   Vstat_circuit.Engine.compile net
 
-let bench_jacobian_variant name ~strip_derivs =
+(* Every ablation times this one inverter transient, varying only the
+   Jacobian path or the integrator. *)
+let bench_inverter_transient name ~strip_derivs ~trap =
   Test.make ~name
     (Staged.stage (fun () ->
          let eng = build_inverter_engine ~strip_derivs in
-         Vstat_circuit.Engine.transient eng ~tstop:400e-12 ~dt:1e-12))
-
-let bench_jacobian_analytic =
-  bench_jacobian_variant "ablation/jacobian-analytic" ~strip_derivs:false
-
-let bench_jacobian_fd =
-  bench_jacobian_variant "ablation/jacobian-fd" ~strip_derivs:true
+         let options = { (Vstat_circuit.Engine.current_options ()) with trap } in
+         Vstat_circuit.Engine.transient ~options eng ~tstop:400e-12 ~dt:1e-12))
 
 let bench_ring_oscillator =
   let rng = bench_rng () in
@@ -319,20 +266,28 @@ let tests =
       bench_mc_parallel_vs;
       bench_mc_parallel_bsim;
       bench_ellipse;
-      bench_inv_sample "circuit/fig5-inv-delay-vs" vs_tech;
-      bench_inv_sample "speed/table4-inv-bsim" bsim_tech;
-      bench_nand2_sample "circuit/fig7-nand2-vs" vs_tech;
-      bench_nand2_sample "speed/table4-nand2-bsim" bsim_tech;
+      bench_fo3_sample "circuit/fig5-inv-delay-vs" Vstat_cells.Fanout.Inv
+        ~wp_nm:600.0 vs_tech;
+      bench_fo3_sample "speed/table4-inv-bsim" Vstat_cells.Fanout.Inv
+        ~wp_nm:600.0 bsim_tech;
+      bench_fo3_sample "circuit/fig7-nand2-vs" Vstat_cells.Fanout.Nand2
+        ~wp_nm:300.0 vs_tech;
+      bench_fo3_sample "speed/table4-nand2-bsim" Vstat_cells.Fanout.Nand2
+        ~wp_nm:300.0 bsim_tech;
       bench_dff_capture "circuit/fig8-dff-capture-vs" vs_tech;
       bench_dff_capture "speed/table4-dff-bsim" bsim_tech;
       bench_sram_snm "circuit/fig9-sram-snm-vs" vs_tech;
       bench_sram_snm "speed/table4-sram-bsim" bsim_tech;
       bench_model_eval "speed/table4-vs-eval-100" vs_dev;
       bench_model_eval "speed/table4-bsim-eval-100" bsim_dev;
-      bench_transient_be;
-      bench_trap_engine;
-      bench_jacobian_analytic;
-      bench_jacobian_fd;
+      bench_inverter_transient "ablation/integrator-backward-euler"
+        ~strip_derivs:false ~trap:false;
+      bench_inverter_transient "ablation/integrator-trapezoidal"
+        ~strip_derivs:false ~trap:true;
+      bench_inverter_transient "ablation/jacobian-analytic" ~strip_derivs:false
+        ~trap:false;
+      bench_inverter_transient "ablation/jacobian-fd" ~strip_derivs:true
+        ~trap:false;
       bench_ring_oscillator;
       bench_chain;
       bench_ac_sweep;
@@ -355,9 +310,9 @@ let checkpoint_overhead out_path =
   let sample ~attempt:_ ~index:_ rng =
     let tech = vs_tech rng in
     let s =
-      Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+      Vstat_cells.Fanout.(sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3)
     in
-    (Vstat_cells.Inverter.measure s).Vstat_cells.Inverter.tpd
+    (Vstat_cells.Fanout.measure s).Vstat_cells.Fanout.tpd
   in
   let run ~every () =
     ignore

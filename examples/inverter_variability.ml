@@ -13,8 +13,8 @@ let mc_delays ~tech_of_rng ~seed =
   let delays = Array.make n 0.0 and leaks = Array.make n 0.0 in
   for i = 0 to n - 1 do
     let tech = tech_of_rng (Vstat_util.Rng.split rng) in
-    let s = Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-    let r = Vstat_cells.Inverter.measure s in
+    let s = Vstat_cells.Fanout.(sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3) in
+    let r = Vstat_cells.Fanout.measure s in
     delays.(i) <- r.tpd;
     leaks.(i) <- r.leakage
   done;

@@ -907,15 +907,8 @@ type raw_trace = {
    arrays, and keeping it out of this function is what lets the
    zero-allocation gate difference two runs of different lengths and assert
    an exactly-zero per-step cost. *)
-let[@vstat.entry] transient_raw ?options ?trap ?dt_min_factor t ~tstop ~dt =
+let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
   let opts = match options with Some o -> o | None -> current_options () in
-  (* Per-call keyword overrides win over the ambient/explicit option set. *)
-  let opts = match trap with Some b -> { opts with trap = b } | None -> opts in
-  let opts =
-    match dt_min_factor with
-    | Some f -> { opts with dt_min_factor = f }
-    | None -> opts
-  in
   let trap = opts.trap in
   let dt = dt *. opts.dt_scale in
   t.work_used <- 0;
@@ -1064,8 +1057,8 @@ let[@vstat.entry] transient_raw ?options ?trap ?dt_min_factor t ~tstop ~dt =
     raw_states = !states_buf;
   }
 
-let[@vstat.entry] transient ?options ?trap ?dt_min_factor t ~tstop ~dt =
-  let raw = transient_raw ?options ?trap ?dt_min_factor t ~tstop ~dt in
+let[@vstat.entry] transient ?options t ~tstop ~dt =
+  let raw = transient_raw ?options t ~tstop ~dt in
   let n = raw.raw_unknowns in
   {
     times = Array.sub raw.raw_times 0 raw.raw_len;
@@ -1131,5 +1124,3 @@ let reset_counters t =
   Array.fill t.cnt 0 n_counters 0;
   Array.fill t.flushed 0 n_counters 0
 
-let stats_newton_iterations t = t.cnt.(c_newton)
-let stats_model_evaluations t = t.cnt.(c_model)

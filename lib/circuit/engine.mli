@@ -115,19 +115,15 @@ type trace = {
 }
 
 val transient :
-  ?options:solver_options ->
-  ?trap:bool ->
-  ?dt_min_factor:float ->
-  t -> tstop:float -> dt:float -> trace
+  ?options:solver_options -> t -> tstop:float -> dt:float -> trace
 (** Integrate from a t=0 operating point to [tstop] with maximum step [dt]
-    (backward Euler by default, trapezoidal when [trap]).  The step is
-    halved on Newton failure (down to [dt * dt_min_factor], default 1/256)
-    and grown back on easy convergence.  Steps are aligned to the waveform
-    corners of every independent source (pulse edges, PWL vertices), so
-    sharp input transitions are landed on exactly rather than straddled.
-    [?trap]/[?dt_min_factor] override the corresponding [options] fields
-    (default: {!current_options}); the t=0 operating point shares the
-    solve's work budget.
+    under [options] (default: {!current_options}): backward Euler, or
+    trapezoidal when [options.trap].  The step is halved on Newton failure
+    (down to [dt * options.dt_min_factor]) and grown back on easy
+    convergence.  Steps are aligned to the waveform corners of every
+    independent source (pulse edges, PWL vertices), so sharp input
+    transitions are landed on exactly rather than straddled.  The t=0
+    operating point shares the solve's work budget.
     @raise Diag.Solver_error with kind [Tran_step_floor] (or
     [Nonfinite_update]/[Singular_jacobian] when that is what kept killing
     steps), [Work_cap_exceeded], or a DC kind from the t=0 solve. *)
@@ -143,10 +139,7 @@ type raw_trace = {
 }
 
 val transient_raw :
-  ?options:solver_options ->
-  ?trap:bool ->
-  ?dt_min_factor:float ->
-  t -> tstop:float -> dt:float -> raw_trace
+  ?options:solver_options -> t -> tstop:float -> dt:float -> raw_trace
 (** Exactly {!transient}, but returning the engine's flat trace buffers
     instead of materialized per-step rows.  The integration loop itself
     performs no per-step allocation (the allocation gate in
@@ -213,13 +206,3 @@ val reset_global_counters : unit -> unit
 val counters_diff : counters -> counters -> counters
 (** Field-wise [a - b]; use with {!global_counters} snapshots to attribute
     work to a region of interest. *)
-
-val stats_newton_iterations : t -> int
-(** Cumulative Newton iterations since [compile] — the workload counter the
-    runtime comparison (paper Table IV) normalizes against.  Equivalent to
-    [(counters t).newton_iterations]. *)
-
-val stats_model_evaluations : t -> int
-(** Cumulative compact-model linearizations since [compile].  With the
-    analytic derivative path this counts one per device linearization (the
-    FD fallback counts each of its 5 perturbation calls). *)

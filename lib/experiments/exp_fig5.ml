@@ -17,10 +17,10 @@ let run ?(sizes = paper_sizes) ?(n = 400) ?(seed = 23) ?vdd
       (fun size ->
         let measure tech =
           let s =
-            Vstat_cells.Inverter.sample tech ~wp_nm:size.wp_nm
-              ~wn_nm:size.wn_nm ~fanout:3
+            Vstat_cells.Fanout.(
+              sample Inv tech ~wp_nm:size.wp_nm ~wn_nm:size.wn_nm ~fanout:3)
           in
-          (Vstat_cells.Inverter.measure s).tpd
+          (Vstat_cells.Fanout.measure s).tpd
         in
         let pair =
           Mc_compare.run p ~label:("INV FO3 delay " ^ size.name) ~vdd ~n ~seed

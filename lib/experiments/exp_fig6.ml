@@ -29,8 +29,8 @@ let scatter_of label leakage frequency =
 let run ?(wp_nm = 600.0) ?(wn_nm = 300.0) ?(n = 600) ?(seed = 29)
     (p : Vstat_core.Pipeline.t) =
   let measure tech =
-    let s = Vstat_cells.Inverter.sample tech ~wp_nm ~wn_nm ~fanout:3 in
-    let r = Vstat_cells.Inverter.measure s in
+    let s = Vstat_cells.Fanout.(sample Inv tech ~wp_nm ~wn_nm ~fanout:3) in
+    let r = Vstat_cells.Fanout.measure s in
     [ r.leakage; 1.0 /. r.tpd ]
   in
   match

@@ -19,9 +19,10 @@ let run ?(vdds = [ 0.9; 0.7; 0.55; 0.45 ]) ?(n = 400) ?(seed = 31)
       (fun vdd ->
         let measure tech =
           let s =
-            Vstat_cells.Nand2.sample tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3
+            Vstat_cells.Fanout.(
+              sample Nand2 tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3)
           in
-          (Vstat_cells.Nand2.measure s).tpd
+          (Vstat_cells.Fanout.measure s).tpd
         in
         let pair =
           Mc_compare.run p

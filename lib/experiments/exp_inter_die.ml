@@ -9,8 +9,8 @@ type t = {
 }
 
 let measure_delay tech =
-  let s = Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  (Vstat_cells.Inverter.measure s).tpd
+  let s = Vstat_cells.Fanout.(sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3) in
+  (Vstat_cells.Fanout.measure s).tpd
 
 let run ?(n_dies = 20) ?(per_die = 8) ?(seed = 53)
     ?(spec = Vstat_core.Inter_die.default_40nm) (p : Vstat_core.Pipeline.t) =

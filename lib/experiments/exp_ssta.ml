@@ -43,10 +43,10 @@ let run ?jobs ?(vdds = [ 0.9; 0.55 ]) ?(stages = 8) ?(n = 300) ?(seed = 59)
                 Vstat_core.Techs.stochastic_vs p ~rng:sample_rng ~vdd
               in
               let s =
-                Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0
-                  ~fanout:1
+                Vstat_cells.Fanout.(
+                  sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:1)
               in
-              (Vstat_cells.Inverter.measure s).tpd)
+              (Vstat_cells.Fanout.measure s).tpd)
             ()
         in
         let stage_mean = Vstat_stats.Descriptive.mean stage_delays in

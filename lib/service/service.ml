@@ -321,9 +321,9 @@ let measure t (spec : P.spec) rng =
       ~vdd:spec.vdd
   | P.Inverter_tpd { fanout } ->
     let s =
-      Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout
+      Vstat_cells.Fanout.(sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout)
     in
-    (Vstat_cells.Inverter.measure s).Vstat_cells.Inverter.tpd
+    (Vstat_cells.Fanout.measure s).Vstat_cells.Fanout.tpd
   | P.Sram_snm { read } ->
     Vstat_cells.Sram6t.snm
       (Vstat_cells.Sram6t.sample tech)

@@ -30,15 +30,12 @@ let tech_of_rng rng =
     pmos = (fun ~w_nm -> base.Vstat_cells.Celltech.pmos ~w_nm:(jit w_nm));
   }
 
-let inv_measure tech =
-  let s =
-    Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
-  in
-  (Vstat_cells.Inverter.measure s).Vstat_cells.Inverter.tpd
+let fo3_measure gate tech =
+  let s = Vstat_cells.Fanout.sample gate tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  (Vstat_cells.Fanout.measure s).Vstat_cells.Fanout.tpd
 
-let nand_measure tech =
-  let s = Vstat_cells.Nand2.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  (Vstat_cells.Nand2.measure s).Vstat_cells.Nand2.tpd
+let inv_measure = fo3_measure Vstat_cells.Fanout.Inv
+let nand_measure = fo3_measure Vstat_cells.Fanout.Nand2
 
 let inject = { FI.rate = 0.05; kind = FI.Raise; seed = 0x1d0a }
 

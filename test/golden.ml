@@ -60,6 +60,24 @@ let workloads (p : P.t) =
     Vstat_experiments.Exp_sram_yield.estimate_is ~jobs:2 ~n:is_n ~pilot_n:40
       ~seed:is_seed p
   in
+  let fo3_n = 8 in
+  let fo3 name ~seed gate ~wp_nm =
+    let r =
+      per_sample ~n:fo3_n ~seed (fun rng ->
+          let tech = Vstat_core.Techs.stochastic_vs p ~rng ~vdd in
+          Vstat_cells.Fanout.(
+            measure (sample gate tech ~wp_nm ~wn_nm:300.0 ~fanout:3)))
+    in
+    [
+      digest_line (name ^ "_tpd") ~n:fo3_n ~seed
+        (Array.map (fun r -> r.Vstat_cells.Fanout.tpd) r);
+      digest_line (name ^ "_leakage") ~n:fo3_n ~seed
+        (Array.map (fun r -> r.Vstat_cells.Fanout.leakage) r);
+    ]
+  in
+  let inv = fo3 "inv_fo3" ~seed:41 Vstat_cells.Fanout.Inv ~wp_nm:600.0 in
+  let nand2 = fo3 "nand2_fo3" ~seed:43 Vstat_cells.Fanout.Nand2 ~wp_nm:300.0 in
+  let nor2 = fo3 "nor2_fo3" ~seed:47 Vstat_cells.Fanout.Nor2 ~wp_nm:1200.0 in
   [
     digest_line "chain48_delay" ~n:chain_n ~seed:chain_seed chain;
     digest_line "fig5_inv_fo3_vs" ~n:fig5_n ~seed:fig5_seed
@@ -72,6 +90,7 @@ let workloads (p : P.t) =
     digest_line "sram_is_p_hat" ~n:is_n ~seed:is_seed
       [| is.Vstat_rare.Importance.p_hat |];
   ]
+  @ inv @ nand2 @ nor2
 
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all

@@ -1,9 +1,9 @@
-(* Tests for the benchmark cells: INV/NAND2 harnesses, the pass-transistor
-   DFF and the 6T SRAM (including the SNM geometry on synthetic curves). *)
+(* Tests for the benchmark cells: the INV/NAND2/NOR2 fanout-of-N harness,
+   the pass-transistor DFF, the ring oscillator, the inverter chain and the
+   6T SRAM (including the SNM geometry on synthetic curves). *)
 
 module T = Vstat_cells.Celltech
-module Inv = Vstat_cells.Inverter
-module Nand = Vstat_cells.Nand2
+module Fo = Vstat_cells.Fanout
 module Dff = Vstat_cells.Dff
 module Sram = Vstat_cells.Sram6t
 
@@ -16,59 +16,60 @@ let check_float ?(eps = 1e-9) name expected actual =
 (* --- Inverter --- *)
 
 let test_inverter_delay_positive () =
-  let r = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let r = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "tphl > 0" true (r.tphl > 0.0);
   Alcotest.(check bool) "tplh > 0" true (r.tplh > 0.0);
   check_float ~eps:1e-15 "tpd is the mean" (0.5 *. (r.tphl +. r.tplh)) r.tpd;
   Alcotest.(check bool) "delay in ps range" true (r.tpd > 1e-12 && r.tpd < 100e-12)
 
 let test_inverter_fanout_slows () =
-  let r1 = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:1 in
-  let r6 = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:6 in
+  let r1 = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:1 in
+  let r6 = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:6 in
   Alcotest.(check bool) "more fanout, more delay" true (r6.tpd > 1.3 *. r1.tpd)
 
 let test_inverter_leakage_positive () =
-  let r = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let r = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "leakage window" true
     (r.leakage > 1e-12 && r.leakage < 1e-5)
 
 let test_inverter_lower_vdd_slower () =
   let slow =
-    Inv.measure_nominal (T.with_vdd tech 0.6) ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+    Fo.measure_nominal Fo.Inv (T.with_vdd tech 0.6) ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
   in
-  let fast = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let fast = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "vdd scaling" true (slow.tpd > 1.5 *. fast.tpd)
 
 let test_inverter_deterministic_on_nominal_tech () =
-  let a = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  let b = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let a = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let b = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   check_float ~eps:1e-18 "reproducible" a.tpd b.tpd
 
 let test_inverter_vs_close_to_bsim () =
   (* Extraction is tested elsewhere; even the seed card should be within a
      factor of two. *)
-  let a = Inv.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-  let b = Inv.measure_nominal tech_vs ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let a = Fo.measure_nominal Fo.Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
+  let b = Fo.measure_nominal Fo.Inv tech_vs ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "same order" true
     (b.tpd > 0.5 *. a.tpd && b.tpd < 2.0 *. a.tpd)
 
-let test_inverter_bad_fanout () =
-  match Inv.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:0 with
+(* Every gate kind rejects an empty fanout. *)
+let test_bad_fanout gate () =
+  match Fo.sample gate tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:0 with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 (* --- NAND2 --- *)
 
 let test_nand2_slower_than_inverter () =
-  let inv = Inv.measure_nominal tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
-  let nand = Nand.measure_nominal tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
+  let inv = Fo.measure_nominal Fo.Inv tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
+  let nand = Fo.measure_nominal Fo.Nand2 tech ~wp_nm:300.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "stacked nmos is slower" true (nand.tpd > inv.tpd)
 
 let test_nand2_vdd_scaling_monotone () =
   let delays =
     List.map
       (fun v ->
-        (Nand.measure_nominal (T.with_vdd tech v) ~wp_nm:300.0 ~wn_nm:300.0
+        (Fo.measure_nominal Fo.Nand2 (T.with_vdd tech v) ~wp_nm:300.0 ~wn_nm:300.0
            ~fanout:3)
           .tpd)
       [ 0.9; 0.7; 0.55 ]
@@ -183,19 +184,14 @@ let test_butterfly_curves_cover_rails () =
 (* --- NOR2 --- *)
 
 let test_nor2_delay_and_ordering () =
-  let r = Vstat_cells.Nor2.measure_nominal tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:3 in
+  let r = Fo.measure_nominal Fo.Nor2 tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:3 in
   Alcotest.(check bool) "tpd positive ps-range" true
     (r.tpd > 1e-12 && r.tpd < 100e-12);
   (* Widening the stacked pull-up must speed the rising edge specifically. *)
   let narrow =
-    Vstat_cells.Nor2.measure_nominal tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+    Fo.measure_nominal Fo.Nor2 tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
   in
   Alcotest.(check bool) "wider pull-up, faster rise" true (r.tplh < narrow.tplh)
-
-let test_nor2_bad_fanout () =
-  match Vstat_cells.Nor2.sample tech ~wp_nm:1200.0 ~wn_nm:300.0 ~fanout:0 with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
 
 (* --- Ring oscillator --- *)
 
@@ -259,12 +255,13 @@ let () =
           Alcotest.test_case "vdd scaling" `Quick test_inverter_lower_vdd_slower;
           Alcotest.test_case "deterministic" `Quick test_inverter_deterministic_on_nominal_tech;
           Alcotest.test_case "vs vs bsim order" `Quick test_inverter_vs_close_to_bsim;
-          Alcotest.test_case "bad fanout" `Quick test_inverter_bad_fanout;
+          Alcotest.test_case "bad fanout" `Quick (test_bad_fanout Fo.Inv);
         ] );
       ( "nand2",
         [
           Alcotest.test_case "slower than inv" `Quick test_nand2_slower_than_inverter;
           Alcotest.test_case "vdd scaling" `Quick test_nand2_vdd_scaling_monotone;
+          Alcotest.test_case "bad fanout" `Quick (test_bad_fanout Fo.Nand2);
         ] );
       ( "dff",
         [
@@ -275,7 +272,7 @@ let () =
       ( "nor2",
         [
           Alcotest.test_case "delay ordering" `Quick test_nor2_delay_and_ordering;
-          Alcotest.test_case "bad fanout" `Quick test_nor2_bad_fanout;
+          Alcotest.test_case "bad fanout" `Quick (test_bad_fanout Fo.Nor2);
         ] );
       ( "ring-oscillator",
         [

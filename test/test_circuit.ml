@@ -197,7 +197,8 @@ let test_rc_charge_trapezoidal () =
   N.capacitor c "c1" ~a:n1 ~b:gnd ~farads:cap;
   let eng = E.compile c in
   let tau = r *. cap in
-  let trace = E.transient ~trap:true eng ~tstop:(3.0 *. tau) ~dt:(tau /. 100.0) in
+  let options = { (E.current_options ()) with trap = true } in
+  let trace = E.transient ~options eng ~tstop:(3.0 *. tau) ~dt:(tau /. 100.0) in
   let v_tau =
     Vstat_util.Floatx.interp_linear ~xs:trace.E.times
       ~ys:(E.node_wave eng trace n1) tau
@@ -331,8 +332,9 @@ let test_stats_counters_advance () =
   let c, _, _ = build_inverter () in
   let eng = E.compile c in
   let _ = E.dc eng in
-  Alcotest.(check bool) "evals counted" true (E.stats_model_evaluations eng > 0);
-  Alcotest.(check bool) "iters counted" true (E.stats_newton_iterations eng > 0)
+  let cnt = E.counters eng in
+  Alcotest.(check bool) "evals counted" true (cnt.E.model_evaluations > 0);
+  Alcotest.(check bool) "iters counted" true (cnt.E.newton_iterations > 0)
 
 let test_transient_lands_on_waveform_corners () =
   (* PWL corners deliberately off the dt grid: the stepper must place a
@@ -391,12 +393,7 @@ let test_counters_per_phase () =
   let after_global = E.global_counters () in
   let d = E.counters_diff after_global before_global in
   Alcotest.(check bool) "globals absorbed this engine" true
-    (d.E.newton_iterations >= cnt.E.newton_iterations);
-  (* legacy accessors stay in sync with the record *)
-  Alcotest.(check int) "stats_newton_iterations" cnt.E.newton_iterations
-    (E.stats_newton_iterations eng);
-  Alcotest.(check int) "stats_model_evaluations" cnt.E.model_evaluations
-    (E.stats_model_evaluations eng)
+    (d.E.newton_iterations >= cnt.E.newton_iterations)
 
 let test_fd_fallback_matches_analytic () =
   (* Same inverter with the derivative path stripped: the FD Jacobian must
@@ -715,7 +712,8 @@ let rc_error ~trap ~dt =
     ((sin (omega *. t) -. (wt *. cos (omega *. t))) +. (wt *. exp (-.t /. tau)))
     /. (1.0 +. (wt *. wt))
   in
-  let trace = E.transient ~trap eng ~tstop:(3.0 *. tau) ~dt in
+  let options = { (E.current_options ()) with trap } in
+  let trace = E.transient ~options eng ~tstop:(3.0 *. tau) ~dt in
   let wave = E.node_wave eng trace n1 in
   let err = ref 0.0 in
   Array.iteri

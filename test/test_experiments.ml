@@ -242,10 +242,10 @@ let test_measure_failure_census () =
   let tech_of_rng _rng = Vstat_cells.Celltech.nominal_vs_seed ~vdd () in
   let measure tech =
     let s =
-      Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3
+      Vstat_cells.Fanout.(sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3)
     in
-    let r = Vstat_cells.Inverter.measure ~window:1e-15 s in
-    r.Vstat_cells.Inverter.tphl
+    let r = Vstat_cells.Fanout.measure ~window:1e-15 s in
+    r.Vstat_cells.Fanout.tphl
   in
   match
     E.Mc_compare.collect_run ~jobs:2 ~max_failure_frac:0.5

@@ -294,9 +294,9 @@ let test_circuit_mc_jobs_invariant () =
     }
   in
   let measure tech =
-    let s = Vstat_cells.Inverter.sample tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3 in
-    let r = Vstat_cells.Inverter.measure s in
-    (r.Vstat_cells.Inverter.tphl, r.Vstat_cells.Inverter.tplh)
+    let s = Vstat_cells.Fanout.(sample Inv tech ~wp_nm:600.0 ~wn_nm:300.0 ~fanout:3) in
+    let r = Vstat_cells.Fanout.measure s in
+    (r.Vstat_cells.Fanout.tphl, r.Vstat_cells.Fanout.tplh)
   in
   let run jobs =
     Rt.values
