@@ -13,8 +13,9 @@
    cross-module analysis: per-module summaries (cached under
    --summary-cache, keyed by source + environment digests) are resolved
    into a project call graph and checked for determinism taint reaching
-   [@vstat.entry] hot entry points and for unguarded module-level mutable
-   state reachable from Domain.spawn roots.  Findings carry the full
+   [@vstat.entry] hot entry points, for unguarded module-level mutable
+   state reachable from Domain.spawn roots, and for .mli exports no other
+   non-test module uses.  Taint and race findings carry the full
    cross-module call path. *)
 
 module L = Vstat_lint_core
@@ -49,8 +50,8 @@ let () =
          and .git are always skipped)" );
       ( "--deep",
         Arg.Set deep,
-        " run the cross-module pass (determinism-taint, domain-safety) on \
-         top of the per-file rules" );
+        " run the cross-module pass (determinism-taint, domain-safety, \
+         dead-export) on top of the per-file rules" );
       ( "--summary-cache",
         Arg.Set_string cache_dir,
         "DIR  with --deep: cache per-module summaries here, re-summarizing \

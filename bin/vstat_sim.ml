@@ -44,25 +44,28 @@ let print_series ~csv ~x_label ~x ~columns =
     Format.pp_print_flush Format.std_formatter ()
   end
 
-(* Rebuild a netlist with every MOSFET's device instance mapped through
-   [map_dev] (used to arm injected faults without touching the parse). *)
-let map_devices netlist ~map_dev =
+(* Copy a netlist, passing every voltage source's waveform through [wave]
+   (keyed by the source name) and every MOSFET's device through [dev]: the
+   fault-injection wrapper and the .dc sweep's Var source both rebuild the
+   parsed deck this way. *)
+let copy_netlist netlist ~wave ~dev =
   let net2 = N.create () in
   List.iter
     (fun e ->
       let copy n = N.node net2 (N.node_name netlist n) in
       match e with
-      | N.Vsource { name; plus; minus; wave } ->
-        N.vsource net2 name ~plus:(copy plus) ~minus:(copy minus) ~wave
+      | N.Vsource { name; plus; minus; wave = w } ->
+        N.vsource net2 name ~plus:(copy plus) ~minus:(copy minus)
+          ~wave:(wave name w)
       | N.Resistor { name; a; b; ohms } ->
         N.resistor net2 name ~a:(copy a) ~b:(copy b) ~ohms
       | N.Capacitor { name; a; b; farads } ->
         N.capacitor net2 name ~a:(copy a) ~b:(copy b) ~farads
-      | N.Isource { name; from_; to_; wave } ->
-        N.isource net2 name ~from_:(copy from_) ~to_:(copy to_) ~wave
-      | N.Mosfet { name; d; g; s; b; dev } ->
+      | N.Isource { name; from_; to_; wave = w } ->
+        N.isource net2 name ~from_:(copy from_) ~to_:(copy to_) ~wave:w
+      | N.Mosfet { name; d; g; s; b; dev = dv } ->
         N.mosfet net2 name ~d:(copy d) ~g:(copy g) ~s:(copy s) ~b:(copy b)
-          ~dev:(map_dev dev))
+          ~dev:(dev dv))
     (N.elements netlist);
   net2
 
@@ -73,7 +76,9 @@ let inject_netlist cfg ~attempt netlist =
   | None -> netlist
   | Some plan ->
     let created = ref 0 in
-    map_devices netlist ~map_dev:(fun dev ->
+    copy_netlist netlist
+      ~wave:(fun _ w -> w)
+      ~dev:(fun dev ->
         let ord = !created mod FI.ordinal_span in
         incr created;
         if ord = plan.FI.device_ordinal then FI.wrap plan dev else dev)
@@ -119,42 +124,14 @@ let run_netlist ~csv ~deadline (deck : P.deck) netlist =
         Printf.printf "\n.dc %s %g %g %g\n" source start stop step;
         (* Rebuild the deck with the swept source replaced by a Var. *)
         let sweep_ref = ref start in
-        let net2 = N.create () in
-        List.iter
-          (fun e ->
-            match e with
-            | N.Vsource { name; plus; minus; wave } ->
-              let plus = N.node net2 (N.node_name netlist plus) in
-              let minus = N.node net2 (N.node_name netlist minus) in
-              let wave =
-                if String.lowercase_ascii name = source then
-                  Vstat_circuit.Waveform.Var sweep_ref
-                else wave
-              in
-              N.vsource net2 name ~plus ~minus ~wave
-            | N.Resistor { name; a; b; ohms } ->
-              N.resistor net2 name
-                ~a:(N.node net2 (N.node_name netlist a))
-                ~b:(N.node net2 (N.node_name netlist b))
-                ~ohms
-            | N.Capacitor { name; a; b; farads } ->
-              N.capacitor net2 name
-                ~a:(N.node net2 (N.node_name netlist a))
-                ~b:(N.node net2 (N.node_name netlist b))
-                ~farads
-            | N.Isource { name; from_; to_; wave } ->
-              N.isource net2 name
-                ~from_:(N.node net2 (N.node_name netlist from_))
-                ~to_:(N.node net2 (N.node_name netlist to_))
-                ~wave
-            | N.Mosfet { name; d; g; s; b; dev } ->
-              N.mosfet net2 name
-                ~d:(N.node net2 (N.node_name netlist d))
-                ~g:(N.node net2 (N.node_name netlist g))
-                ~s:(N.node net2 (N.node_name netlist s))
-                ~b:(N.node net2 (N.node_name netlist b))
-                ~dev)
-          (N.elements netlist);
+        let net2 =
+          copy_netlist netlist
+            ~wave:(fun name w ->
+              if String.lowercase_ascii name = source then
+                Vstat_circuit.Waveform.Var sweep_ref
+              else w)
+            ~dev:Fun.id
+        in
         let eng2 = E.compile net2 in
         let nodes2 = List.map (fun name -> (name, N.node net2 name)) names in
         let count = Float.to_int (Float.round (((stop -. start) /. step) +. 1.0)) in

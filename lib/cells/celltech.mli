@@ -15,13 +15,16 @@ type t = {
 }
 
 val nominal_bsim : ?vdd:float -> unit -> t
+[@@vstat.allow "dead-export"] (* test seam: fixture tech for test_cells *)
 (** Deterministic golden technology at the synthetic 40 nm node. *)
 
 val nominal_vs_seed : ?vdd:float -> unit -> t
+[@@vstat.allow "dead-export"] (* test seam: fixture tech for the tests *)
 (** Deterministic VS technology using the hand-written seed cards (the
     extracted statistical technology lives in [Vstat_core]). *)
 
 val with_vdd : t -> float -> t
+[@@vstat.allow "dead-export"] (* floor-tested: test_cells' Vdd scaling *)
 (** Same device source at a different supply (the paper's Vdd scaling). *)
 
 val with_fault_injection :

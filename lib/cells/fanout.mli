@@ -48,4 +48,5 @@ val measure : ?window:float -> ?steps:int -> 'd sample -> result
 
 val measure_nominal :
   'd gate -> Celltech.t -> wp_nm:float -> wn_nm:float -> fanout:int -> result
+[@@vstat.allow "dead-export"] (* test seam: test_cells' nominal FO-N *)
 (** Convenience: one deterministic measurement on a nominal technology. *)

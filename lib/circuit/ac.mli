@@ -32,6 +32,7 @@ val phase_deg : Complex.t -> float
 
 val corner_frequency :
   Engine.t -> t -> Netlist.node -> float option
+[@@vstat.allow "dead-export"] (* floor-tested: ac rc lowpass *)
 (** First frequency at which the node's magnitude falls 3 dB below its
     value at the lowest swept frequency (linear interpolation in log-log);
     [None] if it never does within the sweep. *)

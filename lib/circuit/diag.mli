@@ -26,6 +26,7 @@ type kind =
   | Injected_fault      (** chaos-harness fault ({!Vstat_device.Fault_inject}) *)
 
 val kind_name : kind -> string
+[@@vstat.allow "dead-export"] (* test seam: test_circuit's census names *)
 (** Census category string, e.g. ["dc_no_convergence"]. *)
 
 type t = {
@@ -42,17 +43,6 @@ type t = {
 
 exception Solver_error of t
 
-val make :
-  ?time:float ->
-  ?newton_iter:int ->
-  ?stage:string ->
-  ?dmax:float ->
-  ?counters:(string * int) list ->
-  analysis:string ->
-  kind ->
-  string ->
-  t
-
 val fail :
   ?time:float ->
   ?newton_iter:int ->
@@ -64,5 +54,3 @@ val fail :
   ('a, unit, string, 'b) format4 ->
   'a
 (** Format-and-raise: [fail ~analysis kind fmt ...] raises {!Solver_error}. *)
-
-val to_string : t -> string

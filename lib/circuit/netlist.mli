@@ -58,6 +58,7 @@ val vsource_names : t -> string list
     of the MNA solution vector, in this order). *)
 
 val find_node : t -> string -> node option
+[@@vstat.allow "dead-export"] (* test seam: test_spice looks up parsed nodes *)
 
 val all_nodes : t -> (string * node) list
 (** Every non-ground node with its primary name, in creation order. *)

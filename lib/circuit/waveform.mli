@@ -53,7 +53,6 @@ val breakpoints : t -> tstop:float -> float list
     instead of halving into discontinuous source derivatives. *)
 
 val step : ?delay:float -> ?rise:float -> low:float -> high:float -> unit -> t
+[@@vstat.allow "dead-export"] (* test seam: test_circuit's step stimulus *)
 (** Single rising edge: low until [delay], then a linear ramp of duration
     [rise] (default 10 ps) to [high]. *)
-
-val falling_step : ?delay:float -> ?fall:float -> high:float -> low:float -> unit -> t

@@ -84,6 +84,7 @@ val predicted_sigma_correlated :
   w_nm:float -> l_nm:float ->
   correlation:(Sensitivity.parameter -> Sensitivity.parameter -> float) ->
   Sensitivity.metric -> float
+[@@vstat.allow "dead-export"] (* floor-tested: bpv correlated reduces/sign *)
 (** Full second-order propagation of the paper's eq. (8), including the
     correlation cross terms 2 sum r_jk (de/dpj)(de/dpk) sigma_j sigma_k.
     With [correlation] returning 0 for j <> k this reduces to

@@ -21,6 +21,7 @@ val golden_pmos : t
 val sample_params :
   t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
   Vstat_device.Bsim4lite.params
+[@@vstat.allow "dead-export"] (* test seam: test_core checks the drawn card *)
 (** Draw one mismatch instance: independent Gaussian shifts on
     Vth0, L, W, u0 and Cox with the Pelgrom sigmas of this geometry. *)
 

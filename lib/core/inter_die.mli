@@ -31,6 +31,7 @@ val draw : t -> Vstat_util.Rng.t -> die_shift
 
 val apply_vs :
   die_shift -> Vstat_device.Vs_model.params -> Vstat_device.Vs_model.params
+[@@vstat.allow "dead-export"] (* test seam: test_core checks the die shift *)
 (** Apply a die's shared shift to a VS card (through
     {!Vs_statistical.apply_shifts}, so the vxo/DIBL couplings hold). *)
 

@@ -11,31 +11,6 @@ type samples = {
   cgg : float array;          (** F *)
 }
 
-val run :
-  ?jobs:int ->
-  ?checkpoint:Vstat_runtime.Checkpoint.settings ->
-  ?deadline:(unit -> bool) ->
-  ?signals:int list ->
-  ?label:string ->
-  ?fingerprint:string ->
-  sampler:(Vstat_util.Rng.t -> Vstat_device.Device_model.t) ->
-  rng:Vstat_util.Rng.t ->
-  n:int ->
-  vdd:float ->
-  unit ->
-  samples
-(** Draw [n] devices and measure all three metrics on each.  [jobs]
-    defaults to {!Vstat_runtime.Runtime.default_jobs}; any sampler
-    exception is re-raised (zero failure budget).
-
-    With [checkpoint]/[deadline]/[signals] the run goes through
-    {!Vstat_runtime.Checkpoint.run} (label defaults to ["mc_device"]):
-    completed samples are journaled and a resumed or uninterrupted run
-    yields bit-identical arrays.  When the deadline fires, the arrays are
-    compacted over the completed samples (shorter, still index-ordered); a
-    trapped signal raises {!Vstat_runtime.Checkpoint.Interrupted} after
-    the final snapshot flush. *)
-
 val of_vs :
   ?jobs:int ->
   ?checkpoint:Vstat_runtime.Checkpoint.settings ->
@@ -45,6 +20,17 @@ val of_vs :
   ?fingerprint:string ->
   Vs_statistical.t -> rng:Vstat_util.Rng.t -> n:int ->
   w_nm:float -> l_nm:float -> vdd:float -> samples
+(** Draw [n] devices of the given geometry and measure all three metrics
+    on each.  [jobs] defaults to {!Vstat_runtime.Runtime.default_jobs}; any
+    sampler exception is re-raised (zero failure budget).
+
+    With [checkpoint]/[deadline]/[signals] the run goes through
+    {!Vstat_runtime.Checkpoint.run} (label defaults to ["mc_device"]):
+    completed samples are journaled and a resumed or uninterrupted run
+    yields bit-identical arrays.  When the deadline fires, the arrays are
+    compacted over the completed samples (shorter, still index-ordered); a
+    trapped signal raises {!Vstat_runtime.Checkpoint.Interrupted} after
+    the final snapshot flush. *)
 
 val of_bsim :
   ?jobs:int ->
@@ -55,6 +41,7 @@ val of_bsim :
   ?fingerprint:string ->
   Bsim_statistical.t -> rng:Vstat_util.Rng.t -> n:int ->
   w_nm:float -> l_nm:float -> vdd:float -> samples
+(** {!of_vs} for the golden statistical model. *)
 
 val summary :
   samples ->

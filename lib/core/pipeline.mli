@@ -7,9 +7,7 @@
     4. package the result as {!Vs_statistical.t} handles ready for device-
        and circuit-level validation.
 
-    Building the pipeline costs a few seconds; [default] memoizes one
-    instance (seed 42, 2000 samples per geometry) shared by the CLI,
-    examples and benches. *)
+    Building the pipeline costs a few seconds. *)
 
 type t = {
   vdd : float;
@@ -25,10 +23,6 @@ type t = {
   vs_nmos : Vs_statistical.t;
   vs_pmos : Vs_statistical.t;
 }
-
-val default_geometries : (float * float) list
-(** Six geometries spanning the paper's range: W in 120..1500 nm, L = 40 nm,
-    plus one long-channel point. *)
 
 val build :
   ?seed:int ->
@@ -47,6 +41,3 @@ val build :
     geometry's golden Monte Carlo ({!Bpv.observe_golden}): every geometry
     gets its own snapshot file, so an interrupted build resumes at the
     first incomplete one. *)
-
-val default : unit -> t
-(** Memoized [build ~seed:42 ~mc_per_geometry:2000 ()]. *)

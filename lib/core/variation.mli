@@ -28,6 +28,7 @@ type source = Rdf | Ler | Otf | Stress
 (** Physical origin labels (Table I). *)
 
 val source_of_parameter : [ `Vt0 | `Leff | `Weff | `Mu | `Cinv ] -> source
+[@@vstat.allow "dead-export"] (* floor-tested: test_core's variation sources *)
 
 type alphas = {
   a_vt0 : float;   (** alpha1, V.nm *)
@@ -48,22 +49,16 @@ type sigmas = {
 val sigmas_of_alphas : alphas -> w_nm:float -> l_nm:float -> sigmas
 (** Evaluate the Pelgrom forms at a geometry. *)
 
-val vxo_mu_exponent : float
-(** alpha ~ 0.5: power-law index relating vxo to mobility (paper eq. (5)). *)
-
-val vxo_gamma : float
-(** gamma ~ 0.45: second power-law index of eq. (5). *)
-
-val vxo_delta_sensitivity : float
-(** d(vxo)/(vxo d(delta)) ~ 2 for the targeted technology (paper Sec. II-B). *)
-
 val vxo_relative_shift :
   ballistic_b:float -> dmu_rel:float -> ddelta:float -> float
 (** Paper eq. (5): the relative virtual-source-velocity shift induced by a
     relative mobility shift [dmu_rel] and an absolute DIBL shift [ddelta]:
-    [(alpha + (1-B)(1-alpha+gamma)) . dmu_rel + 2 . ddelta]. *)
+    [(alpha + (1-B)(1-alpha+gamma)) . dmu_rel + 2 . ddelta], with the
+    power-law indices alpha = 0.5 and gamma = 0.45 and the targeted
+    technology's d(vxo)/(vxo d(delta)) = 2 (paper Sec. II-B). *)
 
 val ballistic_efficiency : lambda_mfp:float -> l_critical:float -> float
+[@@vstat.allow "dead-export"] (* floor-tested: paper eq. (6) in test_core *)
 (** Paper eq. (6): B = lambda / (lambda + 2 l). *)
 
 val paper_alphas_nmos : alphas

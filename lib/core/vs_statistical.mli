@@ -43,6 +43,7 @@ val draw_shifts : t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float -> shifts
 val sample_params :
   t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
   Vstat_device.Vs_model.params
+[@@vstat.allow "dead-export"] (* test seam: test_core checks the drawn card *)
 
 val sample_device :
   t -> Vstat_util.Rng.t -> w_nm:float -> l_nm:float ->
@@ -52,7 +53,6 @@ val nominal_device :
   t -> w_nm:float -> l_nm:float -> Vstat_device.Device_model.t
 
 val seed_nmos : t
+[@@vstat.allow "dead-export"] (* test seam: fixture model for the tests *)
 (** Statistical model over the hand-written seed card with the paper's
     Table II alphas — useful before extraction has run (tests, examples). *)
-
-val seed_pmos : t

@@ -21,9 +21,10 @@ type params = {
   cov : float;
 }
 
-(* Local copies of [Float.max] and [Floatx.clamp]/[softplus]/[logistic]
-   with the same semantics (NaN and signed zero included), so that the
-   derivative kernel below allocates nothing: they are forced inline and
+(* Local copies of [Float.max] and [Floatx.clamp]/[softplus] with the
+   same semantics (NaN and signed zero included), plus [logistic], the
+   branch-for-branch derivative of [softplus], so that the derivative
+   kernel below allocates nothing: they are forced inline and
    defined in this module because classic ocamlopt boxes the float
    argument and result of every out-of-line call, and the dev profile's
    -opaque compiles forbid inlining across modules.  [leff] and [weff] are

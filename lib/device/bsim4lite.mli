@@ -37,23 +37,18 @@ type params = {
 }
 
 val leff : params -> float
+[@@vstat.allow "dead-export"] (* test seam: test_device pins offsets *)
 val weff : params -> float
+[@@vstat.allow "dead-export"] (* test seam: test_device pins offsets *)
 
 val vth : params -> vds:float -> vbs:float -> float
+[@@vstat.allow "dead-export"] (* test seam: test_device pins roll-off, DIBL *)
 (** Full threshold voltage including body effect, roll-off and DIBL. *)
-
-val canonical : params -> Device_model.canonical_eval
-(** Canonical-quadrant equations (exposed for unit tests). *)
-
-val canonical_derivs : params -> Device_model.canonical_kernel
-(** Canonical equations with analytic bias derivatives (conductances and
-    transcapacitances) as an allocation-free in-place kernel, the engine's
-    fast Jacobian path; agrees with {!canonical} and with finite
-    differences (checked in tests). *)
 
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t
 
 val parameter_count : int
+[@@vstat.allow "dead-export"] (* floor-tested: paper's parameter counts *)
 (** Independent parameters of this implementation — larger than the VS
     model's, as in the paper's complexity comparison. *)

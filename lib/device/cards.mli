@@ -18,6 +18,7 @@ val cm2_per_vs : float -> float
 (** cm^2/(V.s) to m^2/(V.s). *)
 
 val cm_per_s : float -> float
+[@@vstat.allow "dead-export"] (* floor-tested: test_device's unit conversions *)
 (** cm/s to m/s. *)
 
 val vdd_nominal : float

@@ -152,8 +152,5 @@ let central f x dv = (f (x +. dv) -. f (x -. dv)) /. (2.0 *. dv)
 let gm ?(dv = 1e-5) t ~vg ~vd ~vs ~vb =
   central (fun vg -> ids t ~vg ~vd ~vs ~vb) vg dv
 
-let gds ?(dv = 1e-5) t ~vg ~vd ~vs ~vb =
-  central (fun vd -> ids t ~vg ~vd ~vs ~vb) vd dv
-
 let cgg ?(dv = 1e-5) t ~vg ~vd ~vs ~vb =
   central (fun vg -> (t.eval ~vg ~vd ~vs ~vb).qg) vg dv

@@ -110,8 +110,5 @@ val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 val gm : ?dv:float -> t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Transconductance dId/dVg by central finite difference. *)
 
-val gds : ?dv:float -> t -> vg:float -> vd:float -> vs:float -> vb:float -> float
-(** Output conductance dId/dVd. *)
-
 val cgg : ?dv:float -> t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Total gate capacitance dQg/dVg (F), central finite difference. *)

@@ -26,7 +26,7 @@ exception Injected of string
     runtime failure census (registration lives in [Vstat_circuit.Diag]). *)
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
+[@@vstat.allow "dead-export"] (* test seam: chaos_smoke labels its runs *)
 
 type config = {
   rate : float;  (** probability a given key carries a fault, in [0,1] *)

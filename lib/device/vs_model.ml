@@ -1,6 +1,7 @@
-(* Local copies of [Float.max] and [Floatx.clamp]/[softplus]/[logistic]
-   with the same semantics (NaN and signed zero included), so that the
-   derivative kernel below allocates nothing: they are forced inline and
+(* Local copies of [Float.max] and [Floatx.clamp]/[softplus] with the
+   same semantics (NaN and signed zero included), plus [logistic], the
+   branch-for-branch derivative of [softplus], so that the derivative
+   kernel below allocates nothing: they are forced inline and
    defined in this module because classic ocamlopt boxes the float
    argument and result of every out-of-line call, and the dev profile's
    -opaque compiles forbid inlining across modules.  [delta_of_length]
@@ -93,7 +94,8 @@ let canonical p ~vgs ~vds ~vbs =
    partials back (layout in device_model.mli).  The formula sequence
    mirrors the value path above; suffixes _g/_d/_b are partials w.r.t.
    vgs/vds/vbs.  Validated against central finite differences in the
-   device test suite. *)
+   device test suite.  Kept separate from [canonical], whose arithmetic
+   rounds differently and feeds nominal extraction. *)
 let canonical_derivs p (k : float array) =
   let vgs = k.(0) and vds = k.(1) and vbs = k.(2) in
   let phit = p.phit in

@@ -49,21 +49,11 @@ type params = {
 val delta : params -> float
 (** DIBL coefficient of this instance, [delta_of_length p.dibl p.l]. *)
 
-val canonical : params -> Device_model.canonical_eval
-(** Raw canonical-quadrant equations (exposed for unit tests). *)
-
-val canonical_derivs : params -> Device_model.canonical_kernel
-(** Canonical equations with analytic bias derivatives (conductances and
-    transcapacitances) as an allocation-free in-place kernel, the engine's
-    fast Jacobian path; agrees with {!canonical} to rounding and with
-    finite differences (checked in tests).  Kept separate from
-    {!canonical}, whose arithmetic is rounded differently and feeds
-    nominal extraction. *)
-
 val device :
   ?name:string -> polarity:Device_model.polarity -> params -> Device_model.t
 (** Instantiate as a circuit-ready device. *)
 
 val dc_parameter_count : int
+[@@vstat.allow "dead-export"] (* floor-tested: paper's parameter counts *)
 (** Number of independent DC parameters of the model (the paper quotes 11;
     this implementation's count, used in documentation tests). *)

@@ -6,6 +6,10 @@ let log_src =
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* VT0, Leff, Weff, mu, Cinv — the BPV parameter set, in
+   Vs_statistical.draw_shifts order — for each of the six devices in
+   Sram6t.sample build order: left then right half-cell, each pull-up
+   (PMOS), pull-down (NMOS), access (NMOS). *)
 let params_per_device = 5
 let devices_per_cell = 6
 let dim = params_per_device * devices_per_cell

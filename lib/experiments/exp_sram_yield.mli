@@ -17,20 +17,14 @@
     statistical blockade.  Agreement means the 95% intervals of the two
     accelerated estimators each overlap the brute-force interval. *)
 
-val params_per_device : int
-(** 5: VT0, Leff, Weff, mu, Cinv — the BPV parameter set, consumed in
-    {!Vstat_core.Vs_statistical.draw_shifts} order. *)
-
-val devices_per_cell : int
-(** 6: left then right half-cell, each pull-up (PMOS), pull-down (NMOS),
-    access (NMOS) — the {!Vstat_cells.Sram6t.sample} build order. *)
-
 val dim : int
+[@@vstat.allow "dead-export"] (* perfbench: sram-yield-is proposal size *)
 (** [params_per_device * devices_per_cell] = 30. *)
 
 val z_tech :
   Vstat_core.Pipeline.t -> vdd:float -> float array ->
   Vstat_cells.Celltech.t
+[@@vstat.allow "dead-export"] (* perfbench: sram-yield-is maps shifts *)
 (** A technology handle that spends 5 coordinates of the given vector per
     transistor, in creation order, instead of drawing from an RNG.
     Single-use: build one per cell sample.
@@ -43,6 +37,7 @@ val problem :
   vdd:float ->
   threshold:float ->
   Vstat_rare.Problem.t
+[@@vstat.allow "dead-export"] (* perfbench: sram-yield-is estimates on it *)
 (** The rare-event problem [SNM(mode) < threshold] at [vdd].  [mode]
     defaults to READ (the stability-limiting one), [points] (default 41)
     is the butterfly sweep resolution.  The simulate closure escalates

@@ -19,4 +19,5 @@ val run : ?n:int -> ?seed:int -> Vstat_core.Pipeline.t -> t
 val pp : Format.formatter -> t -> unit
 
 val worst_rel_diff : t -> float
+[@@vstat.allow "dead-export"] (* test seam: test_experiments bounds it *)
 (** Largest relative sigma disagreement across all entries/metrics. *)

@@ -27,4 +27,5 @@ val run :
 val pp : Format.formatter -> t -> unit
 
 val worst_transfer_error : t -> float
+[@@vstat.allow "dead-export"] (* test seam: test_experiments bounds it *)
 (** Largest relative sigma error of the transferred (nominal-Vdd) alphas. *)

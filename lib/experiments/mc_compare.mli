@@ -52,28 +52,6 @@ val set_default_signals : int list -> unit
     [SIGINT; SIGTERM]).  On delivery the run drains, flushes a final
     snapshot and raises {!Vstat_runtime.Checkpoint.Interrupted}. *)
 
-val collect :
-  ?jobs:int ->
-  ?max_failure_frac:float ->
-  ?retry:Vstat_runtime.Runtime.retry_policy ->
-  ?inject:Vstat_device.Fault_inject.config ->
-  ?codec:'a Vstat_runtime.Checkpoint.codec ->
-  label:string ->
-  n:int ->
-  tech_of_rng:(Vstat_util.Rng.t -> Vstat_cells.Celltech.t) ->
-  rng:Vstat_util.Rng.t ->
-  measure:(Vstat_cells.Celltech.t -> 'a) ->
-  unit ->
-  'a array
-(** One Monte Carlo sweep: sample [i] builds a technology from its own RNG
-    substream, optionally arms a deterministic injected fault
-    ({!Vstat_cells.Celltech.with_fault_injection}, keyed by sample index
-    and retry attempt), and measures under ambient solver options
-    escalated per attempt ({!Vstat_circuit.Engine.escalate} inside
-    {!Vstat_circuit.Engine.with_options}).  Surviving values are returned
-    in sample order after {!Vstat_runtime.Runtime.check_budget} enforces
-    [max_failure_frac] (default 0.2) with a per-category census. *)
-
 val collect_run :
   ?jobs:int ->
   ?max_failure_frac:float ->
@@ -87,9 +65,17 @@ val collect_run :
   measure:(Vstat_cells.Celltech.t -> 'a) ->
   unit ->
   'a Vstat_runtime.Runtime.run
-(** {!collect} returning the full run record (per-sample cells, attempt
-    counts, retry/recovery stats, engine tallies) — what the chaos benches
-    and failure-path tests inspect.
+[@@vstat.allow "dead-export"] (* test seam: the tests read the raw run *)
+(** One Monte Carlo sweep: sample [i] builds a technology from its own RNG
+    substream, optionally arms a deterministic injected fault
+    ({!Vstat_cells.Celltech.with_fault_injection}, keyed by sample index
+    and retry attempt), and measures under ambient solver options
+    escalated per attempt ({!Vstat_circuit.Engine.escalate} inside
+    {!Vstat_circuit.Engine.with_options}).
+    {!Vstat_runtime.Runtime.check_budget} enforces [max_failure_frac]
+    (default 0.2) with a per-category census.  Returns the full run record
+    (per-sample cells, attempt counts, retry/recovery stats, engine
+    tallies) — what the chaos benches and failure-path tests inspect.
 
     Checkpointing/deadlines: runs route through
     {!Vstat_runtime.Checkpoint.run}.  When checkpoint settings are armed

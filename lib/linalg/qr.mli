@@ -1,24 +1,19 @@
 (** Householder QR factorization and linear least squares.
 
     Used by the BPV extraction (stacked over-determined system, eq. (10) of
-    the paper) and by the Levenberg–Marquardt optimizer. *)
+    the paper). *)
 
 type t
 (** QR factorization of an m x n matrix with m >= n. *)
 
 val factor : Matrix.t -> t
+[@@vstat.allow "dead-export"] (* floor-tested: qr square / R upper *)
 (** Factor.  @raise Invalid_argument if rows < cols. *)
 
 val least_squares : Matrix.t -> float array -> float array
 (** [least_squares a b] minimizes ||a x - b||_2 for full-column-rank [a].
     @raise Failure on rank deficiency (zero diagonal in R). *)
 
-val solve_r : t -> float array -> float array
-(** Solve R x = (Q^T b truncated) given the factorization; building block for
-    [least_squares]. *)
-
-val q_transpose_apply : t -> float array -> float array
-(** Apply Q^T to a vector of length [rows]. *)
-
 val r : t -> Matrix.t
+[@@vstat.allow "dead-export"] (* floor-tested: qr R upper *)
 (** The n x n upper-triangular factor. *)

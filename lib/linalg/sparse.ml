@@ -48,7 +48,6 @@ let refactorizations = Atomic.make 0
 let symbolic_analyses () = Atomic.get analyses
 let numeric_factorizations () = Atomic.get refactorizations
 
-let n sym = sym.n
 let nnz sym = sym.row_ptr.(sym.n)
 
 (* Matches Lu.singular_rtol in spirit: the sparse test is row-relative

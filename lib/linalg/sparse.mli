@@ -33,6 +33,7 @@ type numeric
     instance.  Not thread-safe; create one per engine/worker. *)
 
 val analyze : n:int -> entries:(int * int) array -> symbolic
+[@@vstat.allow "dead-export"] (* perfbench: the linalg layer probe *)
 (** [analyze ~n ~entries] computes the symbolic factorization of the [n]x[n]
     pattern containing [entries] (0-based [(row, col)] pairs; duplicates
     allowed).  The diagonal need not be structurally present — a maximum
@@ -47,8 +48,8 @@ val analyze_cached : n:int -> entries:(int * int) array -> symbolic
     topology for every MC sample reuses one analysis.  The cache is reset
     when it exceeds a small bound. *)
 
-val n : symbolic -> int
 val nnz : symbolic -> int
+[@@vstat.allow "dead-export"] (* perfbench: sizes the sparse LU probe *)
 (** Stored entries in the combined L+U pattern, fill included. *)
 
 val slot : symbolic -> row:int -> col:int -> int
@@ -62,12 +63,14 @@ val create_numeric : symbolic -> numeric
 (** Allocate the value buffer and work vectors for one solver instance. *)
 
 val symbolic_of : numeric -> symbolic
+[@@vstat.allow "dead-export"] (* perfbench: sizes the sparse LU probe *)
 
 val values : numeric -> float array
 (** The stamp buffer, length {!nnz}, in symbolic slot order.  Overwritten
     by {!factor}; restamp (after {!clear}) before each refactorization. *)
 
 val clear : numeric -> unit
+[@@vstat.allow "dead-export"] (* test seam: sparse tests restamp with it *)
 (** Zero the value buffer ([Array.fill]; allocation-free). *)
 
 val factor : numeric -> unit
@@ -87,8 +90,10 @@ val iter_entries : numeric -> f:(row:int -> col:int -> float -> unit) -> unit
     between stamping and {!factor}. *)
 
 val symbolic_analyses : unit -> int
+[@@vstat.allow "dead-export"] (* perfbench: linalg.symbolic_analyses *)
 (** Process-wide count of actual (non-cached) {!analyze} runs, for
     pattern-reuse tests. *)
 
 val numeric_factorizations : unit -> int
+[@@vstat.allow "dead-export"] (* test seam: pattern-reuse test counts it *)
 (** Process-wide count of {!factor} calls. *)

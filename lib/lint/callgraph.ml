@@ -6,16 +6,17 @@
    mirrors how this codebase actually spells cross-module calls:
 
    - [module X = Vstat_foo.Bar] aliases at structure level are expanded
-     (the dominant idiom here);
+     (the dominant idiom here); [let module X = ... in] aliases were
+     already expanded by phase 1, where they are in scope;
    - a leading segment matching a dune library wrapper module (read from
      the [(library (name ...))] stanza of the directory's [dune] file)
      selects that directory, the next segment the module within it;
    - an unqualified module name resolves first within the referencing
      file's own directory, then through [open]ed wrappers, then globally
      if the name is unique across the scanned set;
-   - a bare lowercase identifier resolves within the referencing file
-     (the engine only records such references when the name is defined at
-     structure level there), trying the caller's submodule prefix first.
+   - a bare lowercase identifier resolves within the referencing file,
+     trying the caller's submodule prefix first, then through the file's
+     opens, latest first.
 
    Unresolvable references (stdlib, external libraries, genuinely
    ambiguous names) are dropped — the deep rules stay conservative and
@@ -32,6 +33,7 @@ type fileinfo = {
   dir : string;
   defs : (string, S.func) Hashtbl.t;   (* dotted name -> binding *)
   globs : (string, S.glob) Hashtbl.t;
+  exports : (string, unit) Hashtbl.t;  (* top-level vals of the .mli *)
 }
 
 type t = {
@@ -40,6 +42,7 @@ type t = {
   by_mod : (string, string list) Hashtbl.t;    (* Mod -> files, sorted *)
   wrapper_dir : (string, string) Hashtbl.t;    (* Wrapper -> dir *)
   order : (S.t * S.func) list;                 (* all funcs, (file, line) order *)
+  summaries : S.t list;                        (* file order *)
 }
 
 (* --- dune wrapper discovery --------------------------------------------- *)
@@ -106,9 +109,13 @@ let build (summaries : S.t list) =
       let dir = Filename.dirname s.S.sfile in
       let defs = Hashtbl.create 16 in
       let globs = Hashtbl.create 4 in
+      let exports = Hashtbl.create 16 in
       List.iter (fun (f : S.func) -> Hashtbl.replace defs f.S.fname f) s.S.funcs;
       List.iter (fun (g : S.glob) -> Hashtbl.replace globs g.S.gname g) s.S.globals;
-      Hashtbl.replace files s.S.sfile { summary = s; dir; defs; globs };
+      List.iter
+        (fun (e : S.export) -> Hashtbl.replace exports e.S.ename ())
+        s.S.exports;
+      Hashtbl.replace files s.S.sfile { summary = s; dir; defs; globs; exports };
       Hashtbl.replace by_dir_mod (dir, s.S.modname) s.S.sfile;
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_mod s.S.modname) in
       Hashtbl.replace by_mod s.S.modname
@@ -120,12 +127,15 @@ let build (summaries : S.t list) =
         | None -> ()
       end)
     summaries;
+  let summaries =
+    List.sort
+      (fun (a : S.t) (b : S.t) -> String.compare a.S.sfile b.S.sfile)
+      summaries
+  in
   let order =
     List.concat_map
       (fun (s : S.t) -> List.map (fun f -> (s, f)) s.S.funcs)
-      (List.sort
-         (fun (a : S.t) (b : S.t) -> String.compare a.S.sfile b.S.sfile)
-         summaries)
+      summaries
   in
   let order =
     List.sort
@@ -135,9 +145,10 @@ let build (summaries : S.t list) =
         | c -> c)
       order
   in
-  { files; by_dir_mod; by_mod; wrapper_dir; order }
+  { files; by_dir_mod; by_mod; wrapper_dir; order; summaries }
 
 let funcs t = t.order
+let summaries t = t.summaries
 let summary_of_file t file =
   match Hashtbl.find_opt t.files file with
   | Some fi -> Some fi.summary
@@ -172,25 +183,13 @@ let prefix_of_fname fname =
   | None -> ""
   | Some i -> String.sub fname 0 i
 
-let resolve t (from : S.t) ~(caller : S.func) path0 =
-  let path =
-    match expand_alias 4 from path0 with
-    | "Stdlib" :: rest -> rest
-    | p -> p
+(* [lookup] is applied to each candidate module's info and the dotted
+   value name, so one walk serves both call-graph targets and exports. *)
+let resolve_with t (from : S.t) ~(caller : S.func) ~lookup path0 =
+  let norm p =
+    match expand_alias 4 from p with "Stdlib" :: rest -> rest | p -> p
   in
-  match path with
-  | [] -> None
-  | [ x ] when not (is_module_seg x) -> (
-    match Hashtbl.find_opt t.files from.S.sfile with
-    | None -> None
-    | Some fi -> (
-      let pfx = prefix_of_fname caller.S.fname in
-      match
-        if pfx = "" then None else lookup_value fi (pfx ^ "." ^ x)
-      with
-      | Some v -> Some v
-      | None -> lookup_value fi x))
-  | m :: rest when is_module_seg m ->
+  let qualified m rest =
     let from_dir = Filename.dirname from.S.sfile in
     let candidates =
       (* library-wrapper-qualified: Wrapper.Module.value *)
@@ -225,18 +224,44 @@ let resolve t (from : S.t) ~(caller : S.func) path0 =
         | Some [ file ] -> [ (file, rest) ]
         | _ -> [])
     in
-    let rec first = function
-      | [] -> None
-      | (file, vals) :: tl -> (
+    List.find_map
+      (fun (file, vals) ->
         match Hashtbl.find_opt t.files file with
-        | None -> first tl
-        | Some fi -> (
-          match lookup_value fi (String.concat "." vals) with
-          | Some v -> Some v
-          | None -> first tl))
+        | None -> None
+        | Some fi -> lookup fi (String.concat "." vals))
+      candidates
+  in
+  match norm path0 with
+  | [] -> None
+  | [ x ] when not (is_module_seg x) -> (
+    let local =
+      match Hashtbl.find_opt t.files from.S.sfile with
+      | None -> None
+      | Some fi -> (
+        let pfx = prefix_of_fname caller.S.fname in
+        match if pfx = "" then None else lookup fi (pfx ^ "." ^ x) with
+        | Some v -> Some v
+        | None -> lookup fi x)
     in
-    first candidates
+    match local with
+    | Some v -> Some v
+    | None ->
+      List.find_map
+        (fun op ->
+          match norm (op @ [ x ]) with
+          | m :: rest when is_module_seg m -> qualified m rest
+          | _ -> None)
+        (List.rev from.S.opens))
+  | m :: rest when is_module_seg m -> qualified m rest
   | _ -> None
+
+let resolve t from ~caller path =
+  resolve_with t from ~caller ~lookup:lookup_value path
+
+(* The module and export a reference names, if it names an export. *)
+let resolve_export t from ~caller path =
+  resolve_with t from ~caller path ~lookup:(fun fi name ->
+      if Hashtbl.mem fi.exports name then Some (fi.summary, name) else None)
 
 (* Resolved outgoing edges of a function, in callsite order. *)
 let out_edges t (s : S.t) (f : S.func) =

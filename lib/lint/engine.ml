@@ -14,14 +14,17 @@
 
    The same walk doubles as phase 1 of the deep (cross-module) pass: while
    the per-file rules fire, it accumulates a {!Summary.t} per module —
-   structure-level definitions with their outgoing value references,
-   direct nondeterminism sources (post-suppression, so a sanctioned
-   wall-clock read is not a taint source), module-level mutable state,
+   structure-level definitions with their outgoing value references
+   (plus the references made outside any named binding), the top-level
+   [val]s of the sibling [.mli], direct nondeterminism sources
+   (post-suppression, so a sanctioned wall-clock read is not a taint
+   source), module-level mutable state,
    aliases/opens for name resolution, and guard context (lexical
    [Mutex.protect] / [Atomic.*] / [Domain.DLS] nesting, per-function
    mutex-taking).  {!run_deep} drives phase 1 over the project — in
    parallel via the runtime pool, behind a digest-keyed summary cache —
-   then hands the summaries to {!Callgraph} + {!Taint} for phase 2. *)
+   then hands the summaries to {!Callgraph}, {!Taint} and {!Dead_export}
+   for phase 2. *)
 
 open Parsetree
 
@@ -73,6 +76,9 @@ type state = {
   mutable s_opens : string list list;
   mutable s_globals : Summary.glob list;
   mutable s_funcs : Summary.func list;
+  mutable s_init_refs : Summary.reference list;
+  mutable local_mods : (string * string list) list;
+      (* enclosing [let module X = Path in] aliases, innermost first *)
   topdefs : (string, unit) Hashtbl.t;
       (* bare names defined at structure level anywhere in this file *)
   mfields : (string, unit) Hashtbl.t;
@@ -468,35 +474,54 @@ let rec classify_global st e =
     Some "mutable-record"
   | _ -> None
 
+(* A path whose head is bound by an enclosing [let module X = Path in] is
+   expanded where it is written: local aliases are lexically scoped, so
+   they cannot join the file-wide alias table phase 2 expands. *)
+let expand_local st p =
+  match p with
+  | m :: rest -> (
+    match List.assoc_opt m st.local_mods with
+    | Some target -> target @ rest
+    | None -> p)
+  | [] -> p
+
+(* Some project module is opened, so a bare name may be one of its
+   values. *)
+let project_opens st =
+  List.exists
+    (function m :: _ -> not (List.mem m stdlib_modules) | [] -> false)
+    st.s_opens
+
 let record_ref st loc path =
-  match st.cur with
-  | None -> ()
-  | Some a -> (
-    let p = unqual path in
-    (match p with
-    | [ "Domain"; "spawn" ] -> a.a_spawner <- true
-    | [ "Mutex"; ("lock" | "protect") ] -> a.a_locks <- true
-    | _ -> ());
-    let interesting =
-      match p with
-      | [ x ] ->
-        (not (is_module_seg x))
-        && Hashtbl.mem st.topdefs x
-        && not (Hashtbl.mem st.locals x)
-      | m :: _ :: _ -> is_module_seg m && not (List.mem m stdlib_modules)
-      | _ -> false
+  let p = expand_local st (unqual path) in
+  (match (st.cur, p) with
+  | Some a, [ "Domain"; "spawn" ] -> a.a_spawner <- true
+  | Some a, [ "Mutex"; ("lock" | "protect") ] -> a.a_locks <- true
+  | _ -> ());
+  let interesting =
+    match p with
+    | [ x ] ->
+      (not (is_module_seg x))
+      && (not (Hashtbl.mem st.locals x))
+      && (Hashtbl.mem st.topdefs x || project_opens st)
+    | m :: _ :: _ -> is_module_seg m && not (List.mem m stdlib_modules)
+    | _ -> false
+  in
+  if interesting then begin
+    let r =
+      {
+        Summary.callee = p;
+        rline = loc.Location.loc_start.Lexing.pos_lnum;
+        rguarded = st.guard > 0;
+        rallow_ds =
+          List.exists (List.mem Rules.domain_safety) st.scopes
+          || List.mem Rules.domain_safety st.file_allows;
+      }
     in
-    if interesting then
-      a.a_refs <-
-        {
-          Summary.callee = p;
-          rline = loc.Location.loc_start.Lexing.pos_lnum;
-          rguarded = st.guard > 0;
-          rallow_ds =
-            List.exists (List.mem Rules.domain_safety) st.scopes
-            || List.mem Rules.domain_safety st.file_allows;
-        }
-        :: a.a_refs)
+    match st.cur with
+    | Some a -> a.a_refs <- r :: a.a_refs
+    | None -> st.s_init_refs <- r :: st.s_init_refs
+  end
 
 let flush_cur st =
   match st.cur with
@@ -604,6 +629,15 @@ let make_iterator st =
       self.Ast_iterator.expr self e2;
       with_locals st (pat_names [] pat) (fun () ->
           self.Ast_iterator.expr self body)
+    | Pexp_letmodule ({ txt = Some name; _ }, me, body) -> (
+      match module_expr_path me with
+      | None -> Ast_iterator.default_iterator.expr self e
+      | Some target ->
+        let saved = st.local_mods in
+        st.local_mods <- (name, expand_local st target) :: saved;
+        Fun.protect
+          ~finally:(fun () -> st.local_mods <- saved)
+          (fun () -> self.Ast_iterator.expr self body))
     | Pexp_apply (f, args) when is_guard_head (path_of f) ->
       self.Ast_iterator.expr self f;
       st.guard <- st.guard + 1;
@@ -760,11 +794,50 @@ let parse_implementation_string path src =
       Location.init lexbuf path;
       Parse.implementation lexbuf)
 
+let parse_interface_string path src =
+  Mutex.protect parse_mutex (fun () ->
+      let lexbuf = Lexing.from_string src in
+      Location.init lexbuf path;
+      Parse.interface lexbuf)
+
+(* The top-level [val]s of a module's interface, for the dead-export rule.
+   An interface that does not parse exports nothing here; the compiler
+   reports it. *)
+let exports_of_interface path src =
+  match parse_interface_string path src with
+  | sg ->
+    List.filter_map
+      (fun si ->
+        match si.psig_desc with
+        | Psig_value vd ->
+          Some
+            {
+              Summary.ename = vd.pval_name.Location.txt;
+              eline = vd.pval_loc.Location.loc_start.Lexing.pos_lnum;
+              eallow =
+                List.mem Rules.dead_export (allow_rules vd.pval_attributes);
+            }
+        | _ -> None)
+      sg
+  | exception _ -> []
+
+let interface_path path = Filename.remove_extension path ^ ".mli"
+
+let read_interface path =
+  let intf = interface_path path in
+  if Sys.file_exists intf then Some (read_source intf) else None
+
+(* The cache key covers the interface too: editing an .mli changes the
+   module's exports. *)
+let source_digest src intf =
+  Vstat_util.Crc32.digest
+    (match intf with None -> src | Some i -> src ^ "\x00" ^ i)
+
 let modname_of path =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename path))
 
-let analyze_src cfg ~path ~src ~env_digest =
+let analyze_src cfg ~path ~src ~intf ~env_digest =
   let st =
     {
       cfg;
@@ -784,6 +857,8 @@ let analyze_src cfg ~path ~src ~env_digest =
       s_opens = [];
       s_globals = [];
       s_funcs = [];
+      s_init_refs = [];
+      local_mods = [];
       topdefs = Hashtbl.create 64;
       mfields = Hashtbl.create 16;
       ifields = Hashtbl.create 64;
@@ -809,7 +884,7 @@ let analyze_src cfg ~path ~src ~env_digest =
   let summary =
     {
       Summary.sfile = path;
-      src_digest = Vstat_util.Crc32.digest src;
+      src_digest = source_digest src intf;
       env_digest;
       modname = modname_of path;
       floors = List.sort_uniq String.compare st.file_allows;
@@ -817,13 +892,18 @@ let analyze_src cfg ~path ~src ~env_digest =
       opens = List.rev st.s_opens;
       globals = List.rev st.s_globals;
       funcs = List.rev st.s_funcs;
+      init_refs = List.rev st.s_init_refs;
+      exports =
+        (match intf with
+        | Some i -> exports_of_interface (interface_path path) i
+        | None -> []);
       diags;
     }
   in
   (diags, summary)
 
 let lint_file cfg path =
-  fst (analyze_src cfg ~path ~src:(read_source path) ~env_digest:0)
+  fst (analyze_src cfg ~path ~src:(read_source path) ~intf:None ~env_digest:0)
 
 (* Deterministic directory walk: readdir order is unspecified, so entries
    are sorted before descent. *)
@@ -865,7 +945,7 @@ type deep_result = {
 
 (* Bump when the summary contents or the rules deriving them change: a
    version bump invalidates every cached summary at once. *)
-let deep_version = "vstat-lint-deep-1"
+let deep_version = "vstat-lint-deep-2"
 
 (* Cached summaries store post-suppression diagnostics, so anything that
    changes what is suppressed — the allowlist, the engine version, the
@@ -897,7 +977,8 @@ let cache_slot cache_dir path =
 (* Returns the summary and whether it had to be rebuilt from source. *)
 let summarize_file cfg ~env_digest ~cache_dir path =
   let src = read_source path in
-  let digest = Vstat_util.Crc32.digest src in
+  let intf = read_interface path in
+  let digest = source_digest src intf in
   let cached =
     match cache_dir with
     | None -> None
@@ -916,7 +997,7 @@ let summarize_file cfg ~env_digest ~cache_dir path =
   match cached with
   | Some s -> (s, false)
   | None ->
-    let _, s = analyze_src cfg ~path ~src ~env_digest in
+    let _, s = analyze_src cfg ~path ~src ~intf ~env_digest in
     (match cache_dir with
     | Some dir ->
       Vstat_util.Atomic_io.write_file ~path:(cache_slot dir path)
@@ -950,7 +1031,10 @@ let run_deep ?jobs ?cache_dir ?excludes cfg paths =
   in
   let summaries = Array.to_list (Array.map fst results) in
   let per_file = List.concat_map (fun s -> s.Summary.diags) summaries in
-  let deep = Taint.analyze ~allow:cfg.allow summaries in
+  let cg = Callgraph.build summaries in
+  let deep =
+    Taint.analyze ~allow:cfg.allow cg @ Dead_export.analyze ~allow:cfg.allow cg
+  in
   {
     deep_files = n;
     deep_rebuilt = rebuilt;

@@ -16,6 +16,7 @@ let hot_path = "hot-path"
 let parse_error = "parse-error"
 let determinism_taint = "determinism-taint"
 let domain_safety = "domain-safety"
+let dead_export = "dead-export"
 
 let all =
   [
@@ -112,6 +113,18 @@ let all =
         "the runtime pool and the vstatd worker share module state across \
          domains; an unguarded access reachable from a spawn site is a \
          data race waiting for the multi-worker scheduler to widen it";
+    };
+    {
+      id = dead_export;
+      summary =
+        "(--deep) every top-level val of a module's .mli must be referenced \
+         by some other scanned non-test module through the project call \
+         graph; the finding says whether it is referenced nowhere, only \
+         inside its own module, or only by tests (naming them)";
+      invariant =
+        "the same results from the least code: an export no caller needs \
+         is surface to document, test and keep bit-identical for nobody; \
+         un-exporting it lets warning 32 delete a body left unused";
     };
   ]
 

@@ -14,14 +14,20 @@
    - the structure-level mutable state (refs, Hashtbl / Buffer / Queue /
      Stack at toplevel, record literals with same-file mutable fields);
    - module aliases and opens, used by phase-2 name resolution;
+   - the references made outside any named binding ([let () = ...],
+     module-level state initializers), which only the dead-export rule
+     reads;
+   - the top-level [val]s of the sibling [.mli], when there is one, for
+     the dead-export rule;
    - the per-file rule diagnostics, cached alongside so a warm summary
      cache re-lints a file without re-parsing it.
 
    Summaries serialize to a line-oriented text format keyed by two CRC-32
-   digests: [src_digest] over the source bytes and [env_digest] over the
-   engine version, the suppression environment and the engine config.  A
-   cache entry whose digests disagree with the current file or environment
-   is silently discarded and the file re-summarized. *)
+   digests: [src_digest] over the source bytes (the [.ml], then the [.mli]
+   when there is one) and [env_digest] over the engine version, the
+   suppression environment and the engine config.  A cache entry whose
+   digests disagree with the current file or environment, or that is in
+   an older format, is silently discarded and the file re-summarized. *)
 
 type nondet_kind = Nd_random | Nd_wallclock | Nd_hashtbl
 
@@ -66,6 +72,12 @@ type glob = {
   gkind : string;  (* "ref" | "Hashtbl" | "Buffer" | ... | "mutable-record" *)
 }
 
+type export = {
+  ename : string;
+  eline : int;  (* line of the [val] in the .mli *)
+  eallow : bool;  (* the [val] carries [@@vstat.allow "dead-export"] *)
+}
+
 type t = {
   sfile : string;
   src_digest : int;
@@ -76,6 +88,8 @@ type t = {
   opens : string list list;
   globals : glob list;
   funcs : func list;
+  init_refs : reference list;  (* outside any named structure-level binding *)
+  exports : export list;  (* top-level vals of the sibling .mli *)
   diags : Diagnostic.t list;  (* per-file rule findings, post-suppression *)
 }
 
@@ -89,13 +103,17 @@ type t = {
    phase-2 findings, which are recomputed every run), so the [diag] line
    has a fixed field count. *)
 
-let magic = "VSUM1"
+let magic = "VSUM2"
 
 let bool_to_field b = if b then "1" else "0"
 
 let add_line buf fields =
   Buffer.add_string buf (String.concat "\t" fields);
   Buffer.add_char buf '\n'
+
+let ref_fields tag r =
+  [ tag; string_of_int r.rline; bool_to_field r.rguarded;
+    bool_to_field r.rallow_ds; String.escaped (String.concat "." r.callee) ]
 
 let to_string t =
   let buf = Buffer.create 1024 in
@@ -125,13 +143,7 @@ let to_string t =
         [ "fn"; String.escaped f.fname; string_of_int f.fline;
           bool_to_field f.fentry; bool_to_field f.fspawner;
           bool_to_field f.flocks; bool_to_field f.fallow_taint ];
-      List.iter
-        (fun r ->
-          add_line buf
-            [ "ref"; string_of_int r.rline; bool_to_field r.rguarded;
-              bool_to_field r.rallow_ds;
-              String.escaped (String.concat "." r.callee) ])
-        f.refs;
+      List.iter (fun r -> add_line buf (ref_fields "ref" r)) f.refs;
       List.iter
         (fun n ->
           add_line buf
@@ -139,6 +151,13 @@ let to_string t =
               String.escaped n.nwhat ])
         f.nondet)
     t.funcs;
+  List.iter (fun r -> add_line buf (ref_fields "iref" r)) t.init_refs;
+  List.iter
+    (fun e ->
+      add_line buf
+        [ "export"; String.escaped e.ename; string_of_int e.eline;
+          bool_to_field e.eallow ])
+    t.exports;
   List.iter
     (fun (d : Diagnostic.t) ->
       add_line buf
@@ -171,6 +190,7 @@ let of_string s =
     let file = ref "" and modname = ref "" in
     let floors = ref [] and aliases = ref [] and opens = ref [] in
     let globals = ref [] and funcs = ref [] and diags = ref [] in
+    let init_refs = ref [] and exports = ref [] in
     let cur : func option ref = ref None in
     let finished = ref false in
     let flush_fn () =
@@ -181,6 +201,10 @@ let of_string s =
           { f with refs = List.rev f.refs; nondet = List.rev f.nondet }
           :: !funcs;
         cur := None
+    in
+    let reference l g a p =
+      { callee = path_field p; rline = int_field l; rguarded = bool_field g;
+        rallow_ds = bool_field a }
     in
     let line raw =
       if !finished then (if raw <> "" then raise Bad)
@@ -210,16 +234,15 @@ let of_string s =
         | [ "ref"; l; g; a; p ] -> (
           match !cur with
           | None -> raise Bad
-          | Some f ->
-            cur :=
-              Some
-                {
-                  f with
-                  refs =
-                    { callee = path_field p; rline = int_field l;
-                      rguarded = bool_field g; rallow_ds = bool_field a }
-                    :: f.refs;
-                })
+          | Some f -> cur := Some { f with refs = reference l g a p :: f.refs })
+        | [ "iref"; l; g; a; p ] ->
+          flush_fn ();
+          init_refs := reference l g a p :: !init_refs
+        | [ "export"; n; l; a ] ->
+          flush_fn ();
+          exports :=
+            { ename = unescape n; eline = int_field l; eallow = bool_field a }
+            :: !exports
         | [ "nd"; k; l; w ] -> (
           match (!cur, nondet_kind_of_string k) with
           | Some f, Some nkind ->
@@ -256,6 +279,8 @@ let of_string s =
             opens = List.rev !opens;
             globals = List.rev !globals;
             funcs = List.rev !funcs;
+            init_refs = List.rev !init_refs;
+            exports = List.rev !exports;
             diags = List.rev !diags;
           }
     | exception Bad -> None)

@@ -1,4 +1,4 @@
-(* Phase 2 of the deep lint pass, part 2: the two interprocedural rules.
+(* Phase 2 of the deep lint pass, part 2: the two call-path rules.
 
    determinism-taint — a function is tainted when it contains an
    unsanctioned direct nondeterminism source (exactly the sites the
@@ -310,7 +310,4 @@ let domain_safety ~allow cg =
           (Option.value ~default:[] (Hashtbl.find_opt state_refs k)))
     funcs
 
-let analyze ~allow summaries =
-  let cg = C.build summaries in
-  List.sort Diagnostic.compare
-    (determinism_taint ~allow cg @ domain_safety ~allow cg)
+let analyze ~allow cg = determinism_taint ~allow cg @ domain_safety ~allow cg

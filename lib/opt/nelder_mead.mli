@@ -21,6 +21,7 @@ val minimize :
   x0:float array ->
   unit ->
   result
+[@@vstat.allow "dead-export"] (* test seam: test_opt pins one simplex run *)
 (** [minimize ~f ~x0 ()] runs the standard simplex recipe
     (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
     [initial_step] sets the per-coordinate size of the starting simplex

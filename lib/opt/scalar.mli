@@ -21,4 +21,5 @@ val bisect_predicate :
 val golden_max :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float ->
   unit -> float * float
+[@@vstat.allow "dead-export"] (* floor-tested: scalar golden max/asymmetric *)
 (** Golden-section maximization of a unimodal function; returns (x, f x). *)

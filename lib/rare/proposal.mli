@@ -32,11 +32,8 @@ val standard : dim:int -> t
     ({!log_weight} returns exactly 0.0), so an estimator driven by
     [standard] {e is} plain Monte Carlo, bit for bit. *)
 
-val sigma_scaled : dim:int -> scale:float -> t
-(** N(0, scale^2 I): widen every coordinate.  @raise Invalid_argument
-    when [scale] is not finite and positive or [dim < 1]. *)
-
 val mean_shifted : ?scale:float -> mean:float array -> unit -> t
+[@@vstat.allow "dead-export"] (* floor-tested: proposal shifted LR analytic *)
 (** N(mean, scale^2 I) ([scale] defaults to 1.0).
     @raise Invalid_argument on empty/non-finite [mean] or bad [scale]. *)
 
@@ -59,9 +56,11 @@ val from_pilot :
     @raise Invalid_argument on empty/mismatched pilot data. *)
 
 val components : t -> int
+[@@vstat.allow "dead-export"] (* floor-tested: test_rare's mixture checks *)
 (** Number of mixture components (1 for the plain constructors). *)
 
 val is_standard : t -> bool
+[@@vstat.allow "dead-export"] (* floor-tested: proposal standard weight 0 *)
 (** True when the proposal is exactly the nominal density (weight ≡ 1). *)
 
 val draw : t -> Vstat_util.Rng.t -> float array

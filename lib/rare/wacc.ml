@@ -72,9 +72,6 @@ let variance t =
   let e = ess t in
   if e > 1.0 then t.wm2 /. (t.s1 -. (t.s2 /. t.s1)) else Float.nan
 
-let std t = sqrt (variance t)
-let min_value t = t.lo
-let max_value t = t.hi
 let max_weight t = t.wmax
 
 let dump t =

@@ -25,36 +25,39 @@ val add : t -> w:float -> float -> unit
     trusts the proposal layer, which validates its parameters). *)
 
 val merge : t -> t -> t
+[@@vstat.allow "dead-export"] (* floor-tested: wacc merge *)
 (** Fresh accumulator equivalent to folding both operands' streams. *)
 
 val count : t -> int
+[@@vstat.allow "dead-export"] (* floor-tested: wacc matches descriptive *)
 (** Samples folded in, including zero-weight ones. *)
 
 val sum_weights : t -> float
 val sum_sq_weights : t -> float
+[@@vstat.allow "dead-export"] (* floor-tested: wacc matches descriptive *)
 
 val mean : t -> float
 (** Self-normalized weighted mean sum(w x)/sum(w); [nan] when no weight
     has arrived. *)
 
 val variance : t -> float
+[@@vstat.allow "dead-export"] (* floor-tested: wacc matches descriptive *)
 (** Reliability-weighted unbiased variance
     sum(w (x - mean)^2) / (S1 - S2/S1); [nan] when the effective sample
     size is <= 1. *)
 
-val std : t -> float
-val min_value : t -> float
-val max_value : t -> float
 val max_weight : t -> float
 
 val ess : t -> float
 (** Kish effective sample size S1^2/S2; 0 when empty or weightless. *)
 
 val dump : t -> float array
+[@@vstat.allow "dead-export"] (* test seam: test_rare round-trips it *)
 (** Full internal state as a flat vector (count, S1, S2, mean, M2 and
     extrema) — what a checkpoint payload would persist.  [restore (dump
     t)] is state-identical to [t]. *)
 
 val restore : float array -> t
+[@@vstat.allow "dead-export"] (* test seam: test_rare round-trips it *)
 (** @raise Invalid_argument on a vector that {!dump} cannot have
     produced. *)

@@ -64,6 +64,7 @@ exception Rejected of error
     [Printexc] for readable reports. *)
 
 val in_memory : string
+[@@vstat.allow "dead-export"] (* test seam: test_checkpoint's codec errors *)
 (** The [path] recorded when a blob is decoded from memory rather than a
     file (["<memory>"]). *)
 
@@ -76,10 +77,12 @@ val version : int
 (** Current snapshot format version. *)
 
 val encode : snapshot -> string
+[@@vstat.allow "dead-export"] (* test seam: test_checkpoint corrupts bytes *)
 (** Serialize (including the CRC footer).  @raise Invalid_argument if an
     entry index falls outside [0, n). *)
 
 val decode : ?path:string -> string -> (snapshot, error) result
+[@@vstat.allow "dead-export"] (* test seam: test_checkpoint corrupts bytes *)
 (** [path] (default {!in_memory}) is recorded in any error payload. *)
 
 val write : path:string -> snapshot -> unit

@@ -124,35 +124,14 @@ let[@vstat.entry] eval ~policy f i =
   in
   go 0 []
 
-(* Both execution paths run over an explicit [indices] work list (the
+(* The execution loop runs over an explicit [indices] work list (the
    identity permutation for a full run; the incomplete tail of a resumed
-   run for the checkpoint machinery) and poll [should_stop] at sample
+   run for the checkpoint machinery) and polls [should_stop] at sample
    boundaries, so a deadline watchdog or a signal flag can drain the pool
    without tearing any in-flight sample.  Result cells stay addressed by
    sample index, never by work-list position — the determinism contract
-   is untouched by subsetting. *)
-
-let[@vstat.entry] run_serial ?on_progress ~should_stop ~policy ~n ~indices ~f () =
-  let m = Array.length indices in
-  let cells = Array.make n None in
-  let attempts = Array.make n 0 in
-  let chunk = Int.max 1 (m / 20) in
-  let k = ref 0 in
-  let stopped = ref false in
-  while (not !stopped) && !k < m do
-    if should_stop () then stopped := true
-    else begin
-      let i = indices.(!k) in
-      let cell, used = eval ~policy f i in
-      attempts.(i) <- used;
-      cells.(i) <- Some cell;
-      incr k;
-      match on_progress with
-      | Some cb when !k mod chunk = 0 || !k = m -> cb ~completed:!k ~n:m
-      | _ -> ()
-    end
-  done;
-  (cells, attempts, [| !k |])
+   is untouched by subsetting.  At [jobs = 1] no domain is spawned: the
+   calling domain is the only worker. *)
 
 let[@vstat.entry] run_parallel ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f () =
   let m = Array.length indices in
@@ -230,10 +209,7 @@ let run_core ?jobs ?on_progress ?(should_stop = fun () -> false) ~policy ~n
   let jobs = Int.max 1 (Int.min jobs m) in
   let t0 = Unix.gettimeofday () in
   let slots, slot_attempts, per_worker =
-    if jobs = 1 then
-      run_serial ?on_progress ~should_stop ~policy ~n ~indices ~f ()
-    else
-      run_parallel ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f ()
+    run_parallel ?on_progress ~should_stop ~policy ~jobs ~n ~indices ~f ()
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let evaluated = Array.fold_left (fun acc k -> acc + k) 0 per_worker in

@@ -25,10 +25,9 @@
       per-worker sample tallies and retry/recovery counts ({!stats});
       [Logs] gets a debug line per run ("vstat.runtime" source).
 
-    [jobs:1] executes on the calling domain with no pool, no atomics and no
-    per-sample allocation beyond the result cells — the serial fast path.
-    [jobs:n] spawns [n-1] additional domains (OCaml 5) and chunk-steals
-    indices off a shared counter. *)
+    Every run chunk-steals indices off a shared counter; [jobs:n] spawns
+    [n-1] additional domains (OCaml 5) to do so, and [jobs:1] spawns none,
+    running the same loop on the calling domain. *)
 
 type attempt_failure = {
   attempt : int;      (** 0-based attempt number that failed *)
@@ -128,6 +127,7 @@ val map_attempt_samples :
   f:(attempt:int -> int -> 'a) ->
   unit ->
   'a run
+[@@vstat.allow "dead-export"] (* test seam: test_runtime drives the ladder *)
 (** Like {!map_samples} but [f] also receives the 0-based attempt number,
     so the call site can escalate per attempt (halve the step, raise the
     iteration cap, extend the gmin ladder, ...).  Determinism contract: the
@@ -194,6 +194,7 @@ val map_rng_attempt_samples :
   f:(attempt:int -> index:int -> Vstat_util.Rng.t -> 'a) ->
   unit ->
   'a run
+[@@vstat.allow "dead-export"] (* perfbench: chain48-mc sample loop *)
 (** {!map_rng_samples} with the attempt number and sample index exposed:
     the substream passed for sample [index] is identical on every attempt,
     so escalated re-runs see exactly the variates the first attempt saw. *)
@@ -202,15 +203,20 @@ val values : 'a run -> 'a array
 (** Successful samples in index order (failures skipped). *)
 
 val failures : 'a run -> failure list
+[@@vstat.allow "dead-export"] (* test seam: test_runtime inspects failures *)
 (** In index order. *)
 
 val ok_count : 'a run -> int
+[@@vstat.allow "dead-export"] (* test seam: test_runtime checks bookkeeping *)
 val failed_count : 'a run -> int
+[@@vstat.allow "dead-export"] (* perfbench: the failed-share metric *)
 
 val failure_census : 'a run -> (string * int) list
+[@@vstat.allow "dead-export"] (* test seam: the tests check the census *)
 (** Failure counts per classified category, most frequent first. *)
 
 val census_to_string : (string * int) list -> string
+[@@vstat.allow "dead-export"] (* test seam: test_runtime pins the rendering *)
 (** ["cat:count, ..."] — the census rendering used in budget messages. *)
 
 val check_budget : ?label:string -> max_failure_frac:float -> 'a run -> unit

@@ -101,14 +101,4 @@ let position t pred =
   done;
   !found
 
-let iter t f =
-  (* Arrival-order iteration per client, clients in rotation order —
-     deterministic, used for queue introspection only. *)
-  Queue.iter
-    (fun c ->
-      match Hashtbl.find_opt t.queues c with
-      | Some q -> Queue.iter (fun v -> f ~client:c v) q
-      | None -> ())
-    t.rotation
-
 let clients t = Queue.length t.rotation

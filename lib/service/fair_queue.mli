@@ -16,6 +16,7 @@ type 'a t
 val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
+[@@vstat.allow "dead-export"] (* test seam: test_service checks queue state *)
 
 val push : 'a t -> client:string -> 'a -> unit
 (** Append to [client]'s line (registering the client at the back of the
@@ -33,9 +34,6 @@ val position : 'a t -> ('a -> bool) -> int
 (** Dequeue-order position (0 = next) of the first element satisfying the
     predicate under round-robin service, or [-1] if absent.  O(length). *)
 
-val iter : 'a t -> (client:string -> 'a -> unit) -> unit
-(** Deterministic iteration: clients in rotation order, jobs in arrival
-    order within each client. *)
-
 val clients : 'a t -> int
+[@@vstat.allow "dead-export"] (* test seam: test_service checks rotation *)
 (** Number of distinct clients with pending jobs. *)

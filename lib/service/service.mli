@@ -73,18 +73,21 @@ type config = {
 }
 
 val default_config : config
+[@@vstat.allow "dead-export"] (* perfbench: the service workload config *)
 (** [queue_max = 32], [workers = 1], [jobs = 1], [poison_retries = 3],
     [hang_timeout_s = 30.], unbounded state dir, pipeline seed 42 with 300
     samples per geometry, no injection; socket and state dir under
     ["./vstatd-state"]. *)
 
 val pipeline_signature : config -> string
+[@@vstat.allow "dead-export"] (* perfbench: the service workload keys *)
 (** The [pipe=] component of every canonical spec string this daemon
     produces: jobs from daemons with different extraction settings never
     share cache entries. *)
 
 val estimate_wait_s :
   ewma_sample_s:float -> backlog_samples:int -> workers:int -> float
+[@@vstat.allow "dead-export"] (* test seam: test_service pins the estimate *)
 (** The admission wait estimate: smoothed per-sample seconds times the
     backlog (in samples), divided by the worker-pool width — [workers]
     jobs drain concurrently, so the expected wait shrinks accordingly.
@@ -114,5 +117,6 @@ val stop : t -> unit
 (** Request shutdown (idempotent, async-signal-safe: sets a flag). *)
 
 val validate : config -> Protocol.spec -> (unit, string) result
+[@@vstat.allow "dead-export"] (* test seam: test_service pins validation *)
 (** The admission validity check, exposed for tests and the CLI: sample
     count, retry depth, vdd and fanout ranges. *)

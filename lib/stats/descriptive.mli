@@ -23,6 +23,7 @@ val skewness : float array -> float
 (** Adjusted Fisher–Pearson sample skewness (g1 with bias correction). *)
 
 val excess_kurtosis : float array -> float
+[@@vstat.allow "dead-export"] (* floor-tested: descriptive kurtosis gaussian *)
 (** Sample excess kurtosis (0 for a Gaussian). *)
 
 val quantile : float array -> float -> float
@@ -34,11 +35,8 @@ val quantiles : float array -> float list -> float list
     of [xs] — use this instead of repeated {!quantile} calls when more than
     one quantile of the same sample is needed (each [quantile] call re-sorts). *)
 
-val quantile_of_sorted : float array -> float -> float
-(** {!quantile} without the copy/sort: the input must already be sorted
-    ascending (not checked). *)
-
 val median : float array -> float
+[@@vstat.allow "dead-export"] (* floor-tested: descriptive quantiles *)
 
 val mean_ci : ?confidence:float -> float array -> float * float
 (** [(lo, hi)] two-sided normal-approximation confidence interval on the
@@ -48,6 +46,7 @@ val mean_ci : ?confidence:float -> float array -> float * float
     [confidence] outside (0,1). *)
 
 val weighted_mean : float array -> w:float array -> float
+[@@vstat.allow "dead-export"] (* reference: test_rare checks Wacc against it *)
 (** [weighted_mean xs ~w] is sum(w x) / sum(w) for non-negative weights.
     Zero-weight samples are ignored entirely (an importance-sampling run
     may legitimately carry weight-0 entries).  @raise Invalid_argument on
@@ -55,6 +54,7 @@ val weighted_mean : float array -> w:float array -> float
     all-zero weight vector. *)
 
 val weighted_variance : float array -> w:float array -> float
+[@@vstat.allow "dead-export"] (* reference: test_rare checks Wacc against it *)
 (** Reliability-weighted unbiased sample variance:
     sum(w (x - mu)^2) / (S1 - S2/S1) with S1 = sum(w), S2 = sum(w^2) —
     the estimator that reduces to the (n-1)-denominator variance for unit
@@ -62,9 +62,8 @@ val weighted_variance : float array -> w:float array -> float
     conditions, or when the effective sample size S1^2/S2 is <= 1 (a
     single sample carrying all the weight has no spread information). *)
 
-val weighted_std : float array -> w:float array -> float
-
 val weighted_quantile : float array -> w:float array -> float -> float
+[@@vstat.allow "dead-export"] (* floor-tested: descriptive weighted tests *)
 (** [weighted_quantile xs ~w p] for p in [0, 1]: linear interpolation on
     the weighted plotting positions ((c_i - w_i/2) / S1, with c_i the
     cumulative weight through sample i of the value-sorted data) — the
@@ -75,6 +74,7 @@ val weighted_quantile : float array -> w:float array -> float -> float
     p outside [0, 1]. *)
 
 val effective_sample_size : float array -> float
+[@@vstat.allow "dead-export"] (* reference: test_rare checks Wacc against it *)
 (** Kish effective sample size of a weight vector: (sum w)^2 / sum(w^2).
     Equals n for uniform weights and degrades toward 1 as the weight mass
     concentrates — the standard health metric for an importance-sampling
@@ -86,6 +86,3 @@ val covariance : float array -> float array -> float
 
 val correlation : float array -> float array -> float
 (** Pearson correlation coefficient. *)
-
-val summary_to_string : name:string -> float array -> string
-(** One-line "name: mean=… std=… min=… max=…" report used by examples. *)

@@ -12,6 +12,7 @@ type t = {
 }
 
 val of_samples : confidence:float -> float array -> float array -> t
+[@@vstat.allow "dead-export"] (* floor-tested: ellipse center/coverage *)
 (** Fit the [confidence]-coverage ellipse to paired samples.
     @raise Invalid_argument on mismatched or short input. *)
 
@@ -23,6 +24,7 @@ val points : t -> n:int -> (float * float) array
 (** [n] points around the ellipse boundary, for plotting/export. *)
 
 val contains : t -> float * float -> bool
+[@@vstat.allow "dead-export"] (* floor-tested: ellipse coverage *)
 (** Whether a point lies inside the ellipse. *)
 
 val coverage : t -> float array -> float array -> float

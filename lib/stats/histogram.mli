@@ -11,11 +11,13 @@ type t = {
 }
 
 val build : ?bins:int -> float array -> t
+[@@vstat.allow "dead-export"] (* floor-tested: histogram counts *)
 (** [build xs] bins the samples into [bins] equal-width bins spanning
     [min xs, max xs].  Default bin count follows the Freedman–Diaconis rule
     clamped to [8, 128].  @raise Invalid_argument on empty input. *)
 
 val density : t -> (float * float) array
+[@@vstat.allow "dead-export"] (* floor-tested: histogram density integral *)
 (** Bin centers paired with normalized density (integrates to 1). *)
 
 val kde : ?bandwidth:float -> ?points:int -> float array -> (float * float) array
@@ -44,6 +46,7 @@ type tail_estimate = {
 val exceedance :
   ?confidence:float -> ?tail:[ `Upper | `Lower ] -> float array -> float ->
   tail_estimate
+[@@vstat.allow "dead-export"] (* floor-tested: histogram exceedance tails *)
 (** [exceedance xs t] estimates P(X > t) ([`Upper], the default) or
     P(X < t) ([`Lower]) with its Wilson interval — the plain-MC baseline
     every rare-event estimator is validated against.  Strict inequalities

@@ -58,13 +58,6 @@ let softplus x =
   else if x < -40.0 then exp x
   else log1p (exp x)
 
-(* Branches mirror [softplus] exactly so that logistic is its derivative
-   everywhere, including across the cutover points. *)
-let logistic x =
-  if x > 40.0 then 1.0
-  else if x < -40.0 then exp x
-  else 1.0 /. (1.0 +. exp (-.x))
-
 let pp_table ppf ~header ~rows =
   let all = header :: rows in
   let columns = List.length header in

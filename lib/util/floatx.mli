@@ -1,6 +1,7 @@
 (** Small floating-point helpers shared across the library. *)
 
 val close : ?rtol:float -> ?atol:float -> float -> float -> bool
+[@@vstat.allow "dead-export"] (* test seam: the tests' tolerant compare *)
 (** [close a b] holds when |a - b| <= atol + rtol * max(|a|, |b|).
     Defaults: rtol = 1e-9, atol = 1e-12. *)
 
@@ -38,10 +39,6 @@ val log10_safe : float -> float
 
 val softplus : float -> float
 (** Numerically-stable ln(1 + exp x): linear for large x, exp for small. *)
-
-val logistic : float -> float
-(** 1 / (1 + exp(-x)), with branch cutovers matching {!softplus} so it is
-    exactly its derivative (used by the analytic compact-model Jacobians). *)
 
 val pp_table :
   Format.formatter -> header:string list -> rows:string list list -> unit

@@ -28,6 +28,7 @@ val substream : seed:int -> index:int -> t
     statistically independent. *)
 
 val copy : t -> t
+[@@vstat.allow "dead-export"] (* floor-tested: rng copy independent *)
 (** [copy t] is a snapshot of [t]; advancing one does not affect the other. *)
 
 val bits64 : t -> int64
@@ -37,16 +38,19 @@ val float : t -> float
 (** [float t] is uniform on [0, 1) with 53 bits of precision. *)
 
 val uniform : t -> lo:float -> hi:float -> float
+[@@vstat.allow "dead-export"] (* perfbench: svc arrival jitter; test_util too *)
 (** Uniform on [lo, hi). *)
 
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform on [0, bound).  [bound] must be positive. *)
 
 val gaussian : t -> float
+[@@vstat.allow "dead-export"] (* floor-tested: rng gaussian moments *)
 (** Standard normal deviate (Box–Muller, polar form, with caching). *)
 
 val gaussian_scaled : t -> mean:float -> sigma:float -> float
 (** Normal deviate with the given mean and standard deviation. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
+[@@vstat.allow "dead-export"] (* floor-tested: rng lognormal positive *)
 (** Deviate of exp(N(mu, sigma^2)). *)

@@ -75,6 +75,26 @@ let workloads (p : P.t) =
         (Array.map (fun r -> r.Vstat_cells.Fanout.leakage) r);
     ]
   in
+  (* The pipeline itself (built below with seed 42 and 300 samples per
+     geometry): BPV alphas and the fitted nominal VS cards. *)
+  let alphas (a : Vstat_core.Variation.alphas) =
+    Vstat_core.Variation.[| a.a_vt0; a.a_l; a.a_w; a.a_mu; a.a_cinv |]
+  in
+  let card (c : Vstat_device.Vs_model.params) =
+    Vstat_device.Vs_model.
+      [| c.w; c.l; c.cinv; c.vt0; c.dibl.delta0; c.dibl.l_nominal;
+         c.dibl.l_scale; c.n0; c.nd; c.vxo; c.mu; c.beta; c.alpha_q; c.phit;
+         c.gamma_body; c.phib; c.cov; c.ballistic_b |]
+  in
+  let pipeline name v = digest_line ("pipeline_" ^ name) ~n:300 ~seed:42 v in
+  let pipe =
+    [
+      pipeline "bpv_alphas_nmos" (alphas p.P.bpv_nmos.Vstat_core.Bpv.alphas);
+      pipeline "bpv_alphas_pmos" (alphas p.P.bpv_pmos.Vstat_core.Bpv.alphas);
+      pipeline "fit_nmos" (card p.P.fit_nmos.Vstat_core.Extract_nominal.fitted);
+      pipeline "fit_pmos" (card p.P.fit_pmos.Vstat_core.Extract_nominal.fitted);
+    ]
+  in
   let inv = fo3 "inv_fo3" ~seed:41 Vstat_cells.Fanout.Inv ~wp_nm:600.0 in
   let nand2 = fo3 "nand2_fo3" ~seed:43 Vstat_cells.Fanout.Nand2 ~wp_nm:300.0 in
   let nor2 = fo3 "nor2_fo3" ~seed:47 Vstat_cells.Fanout.Nor2 ~wp_nm:1200.0 in
@@ -90,7 +110,7 @@ let workloads (p : P.t) =
     digest_line "sram_is_p_hat" ~n:is_n ~seed:is_seed
       [| is.Vstat_rare.Importance.p_hat |];
   ]
-  @ inv @ nand2 @ nor2
+  @ inv @ nand2 @ nor2 @ pipe
 
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all

@@ -103,9 +103,9 @@ let () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "vstat_rare_smoke_%d" (Unix.getpid ()))
   in
-  (* The deadline is polled once per completed sample; cutting after the
-     pilot (36 samples) plus part of the main phase leaves a partial
-     main-phase snapshot to resume from. *)
+  (* The deadline is polled after every completed sample and at each
+     chunk boundary; cutting after the pilot (36 samples) plus part of the
+     main phase leaves a partial main-phase snapshot to resume from. *)
   let calls = ref 0 in
   let cut () =
     incr calls;

@@ -68,7 +68,7 @@ let expected_golden =
 let test_golden () =
   let cfg = L.Engine.default_config () in
   let files, diags = L.Engine.run cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files scanned" 17 files;
+  Alcotest.(check int) "fixture files scanned" 20 files;
   let parse_errors, rest =
     List.partition (fun d -> d.L.Diagnostic.rule = "parse-error") diags
   in
@@ -119,7 +119,7 @@ let test_rules_registry () =
     [
       "determinism-random"; "determinism-hashtbl-order";
       "determinism-wallclock"; "float-compare"; "exn-discipline"; "hot-path";
-      "parse-error"; "determinism-taint"; "domain-safety";
+      "parse-error"; "determinism-taint"; "domain-safety"; "dead-export";
     ]
 
 
@@ -132,16 +132,16 @@ let render_trace (d : L.Diagnostic.t) =
   | [] -> ""
   | steps -> " | " ^ String.concat " \xe2\x86\x92 " steps
 
-(* The two deep rules, pinned exactly: one determinism-taint finding at the
-   [@vstat.entry] binding with the full 3-module call path down to the
-   Random.float, one domain-safety finding at the unguarded access with the
-   full path from the Domain.spawn root.  The sanctioned entry, the
+(* The two call-path rules, pinned exactly: one determinism-taint finding
+   at the [@vstat.entry] binding with the full 3-module call path down to
+   the Random.float, one domain-safety finding at the unguarded access with
+   the full path from the Domain.spawn root.  The sanctioned entry, the
    Mutex.protect'd access and the file-floored fixture must all stay
    silent. *)
 let test_deep_golden () =
   let cfg = L.Engine.default_config () in
   let r = L.Engine.run_deep cfg [ fixture_root ] in
-  Alcotest.(check int) "fixture files" 17 r.L.Engine.deep_files;
+  Alcotest.(check int) "fixture files" 20 r.L.Engine.deep_files;
   let deep_only =
     List.filter
       (fun d ->
@@ -163,6 +163,48 @@ let test_deep_golden () =
        Random.float (lint_fixtures/fx_taint_c.ml:4)";
     ]
     (List.map render_trace deep_only)
+
+(* dead-export over fx_export.mli, whose four vals take one verdict each:
+   [used] (called from fx_export_user.ml through a local module alias)
+   stays silent; [internal], [tested] (called only from a test-path file)
+   and [unused] are reported, each saying why.  Pinned in both report
+   formats. *)
+let test_dead_export_golden () =
+  let cfg = L.Engine.default_config () in
+  let r = L.Engine.run_deep cfg [ fixture_root ] in
+  let dead =
+    List.filter
+      (fun d -> d.L.Diagnostic.rule = "dead-export")
+      r.L.Engine.deep_diags
+  in
+  let advice =
+    "drop it from the .mli or keep it with [@@vstat.allow \"dead-export\"] \
+     and a one-line reason"
+  in
+  Alcotest.(check (list string))
+    "text report"
+    (List.map
+       (fun (line, name, how) ->
+         Printf.sprintf
+           "lint_fixtures/fx_export.mli:%d:0: [dead-export] exported value \
+            '%s' %s; %s"
+           line name how advice)
+       [
+         (4, "internal", "is referenced only inside its own module");
+         ( 5, "tested",
+           "is referenced only by tests (lint_fixtures/test/fx_export_test.ml)"
+         );
+         (6, "unused", "is referenced nowhere");
+       ])
+    (List.map L.Diagnostic.to_human dead);
+  Alcotest.(check (list string))
+    "JSON report"
+    [
+      {|{"rule":"dead-export","file":"lint_fixtures/fx_export.mli","line":4,"col":0,"message":"exported value 'internal' is referenced only inside its own module; drop it from the .mli or keep it with [@@vstat.allow \"dead-export\"] and a one-line reason"}|};
+      {|{"rule":"dead-export","file":"lint_fixtures/fx_export.mli","line":5,"col":0,"message":"exported value 'tested' is referenced only by tests (lint_fixtures/test/fx_export_test.ml); drop it from the .mli or keep it with [@@vstat.allow \"dead-export\"] and a one-line reason"}|};
+      {|{"rule":"dead-export","file":"lint_fixtures/fx_export.mli","line":6,"col":0,"message":"exported value 'unused' is referenced nowhere; drop it from the .mli or keep it with [@@vstat.allow \"dead-export\"] and a one-line reason"}|};
+    ]
+    (List.map L.Report.diagnostic_json dead)
 
 (* Phase 1 fans out across the runtime pool; the report (including traces,
    which depend on BFS tie-breaking) must be identical at any jobs
@@ -255,6 +297,90 @@ let test_guard_deletion () =
     Alcotest.failf "expected exactly one domain-safety finding, got %d"
       (List.length ds)
 
+(* The .mli is part of a module's cache key: adding the allow attribute to
+   an interface re-summarizes that module through a warm cache and
+   silences its finding. *)
+let test_dead_export_interface_edit () =
+  let dir = Filename.temp_dir "vstat_lint_export" "" in
+  let cache = Filename.concat dir "cache" in
+  let src = Filename.concat dir "src" in
+  Sys.mkdir src 0o755;
+  write_file (Filename.concat src "e_api.ml") "let f x = x + 1\n";
+  write_file (Filename.concat src "e_api.mli") "val f : int -> int\n";
+  let cfg = L.Engine.default_config () in
+  let dead (r : L.Engine.deep_result) =
+    List.map
+      (fun d -> Printf.sprintf "%s:%d" (Filename.basename d.L.Diagnostic.file)
+          d.L.Diagnostic.line)
+      (List.filter
+         (fun d -> d.L.Diagnostic.rule = "dead-export")
+         r.L.Engine.deep_diags)
+  in
+  let r1 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
+  Alcotest.(check (list string)) "unreferenced export reported"
+    [ "e_api.mli:1" ] (dead r1);
+  write_file
+    (Filename.concat src "e_api.mli")
+    "val f : int -> int\n[@@vstat.allow \"dead-export\"] (* a reason *)\n";
+  let r2 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
+  Alcotest.(check int) "interface edit re-summarizes the module" 1
+    r2.L.Engine.deep_rebuilt;
+  Alcotest.(check (list string)) "allowed export silent" [] (dead r2)
+
+(* A bare name brought in by [open] resolves to the opened module's
+   export, at structure level and inside [let () = ...] alike. *)
+let test_dead_export_through_open () =
+  let dir = Filename.temp_dir "vstat_lint_open" "" in
+  let src = Filename.concat dir "src" in
+  Sys.mkdir src 0o755;
+  write_file (Filename.concat src "p_api.ml") "let f x = x + 1\nlet g x = x\n";
+  write_file
+    (Filename.concat src "p_api.mli")
+    "val f : int -> int\nval g : int -> int\n";
+  write_file
+    (Filename.concat src "p_user.ml")
+    "open P_api\nlet h x = f x\nlet () = ignore (g 0)\n";
+  let r = L.Engine.run_deep (L.Engine.default_config ()) [ src ] in
+  Alcotest.(check (list string)) "both exports used" []
+    (List.map render r.L.Engine.deep_diags)
+
+(* A summary cached in the previous VSUM1 format — no init-reference or
+   export lines, but digests that still match the source and environment —
+   is discarded and the file re-summarized in the current format. *)
+let test_old_summary_format () =
+  let dir = Filename.temp_dir "vstat_lint_vsum" "" in
+  let cache = Filename.concat dir "cache" in
+  let src = Filename.concat dir "src" in
+  Sys.mkdir src 0o755;
+  let file = Filename.concat src "o_one.ml" in
+  write_file file "let () = print_int (O_two.two ())\n";
+  write_file (Filename.concat src "o_two.ml") "let two () = 2\n";
+  let cfg = L.Engine.default_config () in
+  let r1 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
+  Alcotest.(check int) "cold cache" 2 r1.L.Engine.deep_rebuilt;
+  let slot = L.Engine.cache_slot cache file in
+  let read () = In_channel.with_open_bin slot In_channel.input_all in
+  let current = String.split_on_char '\n' (read ()) in
+  Alcotest.(check bool) "current summary records the init reference" true
+    (List.exists (fun l -> String.starts_with ~prefix:"iref\t" l) current);
+  let old =
+    List.filter_map
+      (fun l ->
+        if l = "VSUM2" then Some "VSUM1"
+        else if
+          String.starts_with ~prefix:"iref\t" l
+          || String.starts_with ~prefix:"export\t" l
+        then None
+        else Some l)
+      current
+  in
+  write_file slot (String.concat "\n" old);
+  let r2 = L.Engine.run_deep ~cache_dir:cache cfg [ src ] in
+  Alcotest.(check (pair int int)) "old-format entry re-summarized" (1, 1)
+    (r2.L.Engine.deep_rebuilt, r2.L.Engine.deep_cached);
+  Alcotest.(check string) "rewritten in the current format" "VSUM2"
+    (List.hd (String.split_on_char '\n' (read ())))
+
 (* --- summary serialization ---------------------------------------------- *)
 
 module S = L.Summary
@@ -312,8 +438,14 @@ let gen_summary =
         L.Diagnostic.make ~rule:r ~file:f ~line:(abs l) ~col:(abs c) m)
       (pair (pair (pair seg free) (pair small_nat small_nat)) free)
   in
+  let gen_export =
+    map
+      (fun ((n, l), a) -> { S.ename = n; eline = abs l; eallow = a })
+      (pair (pair seg small_nat) bool)
+  in
   map
-    (fun (((sfile, (sd, ed)), (modname, floors, aliases)), (opens, (gs, fs), ds)) ->
+    (fun ( ((sfile, (sd, ed)), (modname, floors, aliases)),
+           (opens, (gs, fs), (irs, es, ds)) ) ->
       {
         S.sfile;
         src_digest = abs sd;
@@ -324,6 +456,8 @@ let gen_summary =
         opens;
         globals = gs;
         funcs = fs;
+        init_refs = irs;
+        exports = es;
         diags = ds;
       })
     (pair
@@ -332,7 +466,8 @@ let gen_summary =
           (triple upseg (small_list seg) (small_list (pair upseg path))))
        (triple (small_list path)
           (pair (small_list gen_glob) (small_list gen_func))
-          (small_list gen_diag)))
+          (triple (small_list gen_ref) (small_list gen_export)
+             (small_list gen_diag))))
 
 (* Round-trip: the summary cache must reproduce every field bit-exactly
    (no floats anywhere, so polymorphic equality is an honest check). *)
@@ -355,12 +490,14 @@ let test_summary_corrupt () =
     [
       ("empty", "");
       ("bad magic", "JUNK\nend\n");
-      ("truncated (no end)", "VSUM1\nkey\t1\t2\n");
-      ("ref outside fn", "VSUM1\nref\t1\t0\t0\tx\nend\n");
-      ("non-numeric digest", "VSUM1\nkey\tx\ty\nend\n");
-      ("bad escape", "VSUM1\nfile\t\\q\nend\n");
-      ("bad bool", "VSUM1\nfn\tf\t1\t2\t0\t0\nend\n");
-      ("trailing junk", "VSUM1\nend\njunk\n");
+      ("truncated (no end)", "VSUM2\nkey\t1\t2\n");
+      ("ref outside fn", "VSUM2\nref\t1\t0\t0\tx\nend\n");
+      ("non-numeric digest", "VSUM2\nkey\tx\ty\nend\n");
+      ("bad escape", "VSUM2\nfile\t\\q\nend\n");
+      ("bad bool", "VSUM2\nfn\tf\t1\t2\t0\t0\nend\n");
+      ("bad export line", "VSUM2\nexport\tx\t1\nend\n");
+      ("old format", "VSUM1\nend\n");
+      ("trailing junk", "VSUM2\nend\njunk\n");
     ]
 
 (* --- report rendering ---------------------------------------------------- *)
@@ -560,6 +697,14 @@ let () =
             test_deep_cache_counters;
           Alcotest.test_case "guard deletion through warm cache" `Quick
             test_guard_deletion;
+          Alcotest.test_case "dead-export golden (text and JSON)" `Quick
+            test_dead_export_golden;
+          Alcotest.test_case "dead-export follows .mli edits" `Quick
+            test_dead_export_interface_edit;
+          Alcotest.test_case "dead-export resolves opens" `Quick
+            test_dead_export_through_open;
+          Alcotest.test_case "old summary format re-summarized" `Quick
+            test_old_summary_format;
         ] );
       ( "serialization",
         [
