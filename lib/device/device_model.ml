@@ -8,9 +8,7 @@ type terminal_state = {
   qb : float;
 }
 
-type canonical_eval = vgs:float -> vds:float -> vbs:float -> terminal_state
-
-type canonical_kernel = float array -> unit
+type canonical_kernel = partials:bool -> float array -> unit
 
 type derivs = {
   v : float array;
@@ -40,32 +38,14 @@ type t = {
 
 let sign_of = function Nmos -> 1.0 | Pmos -> -1.0
 
-(* The value path of [make]: mirror a PMOS into the NMOS quadrant, and
-   swap source/drain so the canonical equations only ever see vds >= 0. *)
-let eval_of_canonical sign (canonical : canonical_eval) ~vg ~vd ~vs ~vb =
-  let vg = sign *. vg and vd = sign *. vd and vs = sign *. vs
-  and vb = sign *. vb in
-  let swapped = vd < vs in
-  let d, s = if swapped then (vs, vd) else (vd, vs) in
-  let state = canonical ~vgs:(vg -. s) ~vds:(d -. s) ~vbs:(vb -. s) in
-  let id = if swapped then -.state.id else state.id in
-  let qd, qs = if swapped then (state.qs, state.qd) else (state.qd, state.qs) in
-  {
-    id = sign *. id;
-    qg = sign *. state.qg;
-    qd = sign *. qd;
-    qs = sign *. qs;
-    qb = sign *. state.qb;
-  }
-
-(* The derivative path's helpers, top-level and forced inline so the
+(* The helpers of both paths, top-level and forced inline so the
    [eval_derivs] closure built by [make] allocates nothing: a local closure
    would be allocated per call, and under classic ocamlopt an out-of-line
    call with a float argument or result boxes it.
 
-   [load_canonical] mirrors the terminal voltages into the canonical
-   quadrant and writes vgs/vds/vbs into the kernel buffer; it returns
-   whether source and drain swapped. *)
+   [load_canonical] mirrors a PMOS into the NMOS quadrant, orders source
+   and drain so the kernel only ever sees vds >= 0, and writes vgs/vds/vbs
+   into the kernel buffer; it returns whether source and drain swapped. *)
 let[@inline always] load_canonical k sign ~vg ~vd ~vs ~vb =
   let vg = sign *. vg and vd = sign *. vd and vs = sign *. vs
   and vb = sign *. vb in
@@ -97,18 +77,24 @@ let[@inline always] write4 arr off k o ~can_d ~can_s scale =
 (* Kernel-buffer offset of output [o]'s three partials. *)
 let[@inline always] partials o = 5 + (3 * o)
 
-(* Map the kernel's canonical outputs back to terminal order and sign. *)
+let[@inline always] swap_sign swapped = if swapped then -1.0 else 1.0
+
+(* Map the kernel's canonical values [k.(0..4)] back to terminal order and
+   sign in [v.(0..4)]; [v] may be [k]. *)
+let[@inline always] store_values sign swapped k v =
+  let qd = k.(2) and qs = k.(3) in
+  v.(0) <- sign *. swap_sign swapped *. k.(0);
+  v.(1) <- sign *. k.(1);
+  v.(2) <- sign *. (if swapped then qs else qd);
+  v.(3) <- sign *. (if swapped then qd else qs);
+  v.(4) <- sign *. k.(4)
+
+(* The same, then the kernel's partials through the chain rule. *)
 let[@inline always] store_terminal sign swapped k out =
   let can_d = if swapped then 2 else 1 in
   let can_s = if swapped then 1 else 2 in
-  let swap_sign = if swapped then -1.0 else 1.0 in
-  let v = out.v in
-  v.(0) <- sign *. swap_sign *. k.(0);
-  v.(1) <- sign *. k.(1);
-  v.(2) <- sign *. (if swapped then k.(3) else k.(2));
-  v.(3) <- sign *. (if swapped then k.(2) else k.(3));
-  v.(4) <- sign *. k.(4);
-  write4 out.did 0 k (partials 0) ~can_d ~can_s swap_sign;
+  store_values sign swapped k out.v;
+  write4 out.did 0 k (partials 0) ~can_d ~can_s (swap_sign swapped);
   (* dq rows in physical terminal order g, d, s, b; the physical drain's
      charge is the canonical source's when swapped. *)
   let dq = out.dq in
@@ -123,24 +109,30 @@ let canonical_key polarity key =
   let swapped = load_canonical key sign ~vg ~vd ~vs ~vb in
   key.(3) <- (if swapped then 1.0 else 0.0)
 
-let make ~name ~polarity ~width ~length ?canonical_derivs ~canonical () =
+let make ~name ~polarity ~width ~length ~(kernel : canonical_kernel) =
   let sign = sign_of polarity in
   {
     name;
     polarity;
     width;
     length;
-    eval = eval_of_canonical sign canonical;
+    eval =
+      (fun ~vg ~vd ~vs ~vb ->
+        (* A literal with variable elements is allocated inline; an
+           all-constant one is copied by a C call, as [Array.make] is.
+           [load_canonical] overwrites the first three. *)
+        let k = [| vg; vd; vs; vb; 0.0 |] in
+        let swapped = load_canonical k sign ~vg ~vd ~vs ~vb in
+        kernel ~partials:false k;
+        store_values sign swapped k k;
+        { id = k.(0); qg = k.(1); qd = k.(2); qs = k.(3); qb = k.(4) });
     eval_derivs =
-      (match canonical_derivs with
-      | None -> None
-      | Some (kernel : canonical_kernel) ->
-        Some
-          (fun ~vg ~vd ~vs ~vb out ->
-            let k = out.kbuf in
-            let swapped = load_canonical k sign ~vg ~vd ~vs ~vb in
-            kernel k;
-            store_terminal sign swapped k out));
+      Some
+        (fun ~vg ~vd ~vs ~vb out ->
+          let k = out.kbuf in
+          let swapped = load_canonical k sign ~vg ~vd ~vs ~vb in
+          kernel ~partials:true k;
+          store_terminal sign swapped k out);
   }
 
 let without_derivs t = { t with eval_derivs = None }

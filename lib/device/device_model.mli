@@ -17,22 +17,19 @@ type terminal_state = {
   qb : float;  (** bulk terminal charge, C *)
 }
 
-type canonical_eval = vgs:float -> vds:float -> vbs:float -> terminal_state
-(** Model equations in the canonical quadrant.  Caller guarantees
-    [vds >= 0]; values follow NMOS sign conventions (id >= 0 for normal
-    operation, charges in natural NMOS polarity). *)
-
-type canonical_kernel = float array -> unit
-(** Canonical equations evaluated together with their analytic bias
-    derivatives, in place on a caller-owned buffer of 20 floats, so an
-    evaluation allocates nothing.  Layout:
+type canonical_kernel = partials:bool -> float array -> unit
+(** A model's equations for the canonical quadrant, stated once:
+    [kernel ~partials k] evaluates them in place on a caller-owned float
+    buffer, so an evaluation allocates nothing.  Layout:
     - in: [k.(0)], [k.(1)], [k.(2)] = vgs, vds, vbs (canonical quadrant,
       vds >= 0), read before anything is written;
-    - out: [k.(0..4)] = id, qg, qd, qs, qb, the model's
-      {!canonical_eval} values (up to rounding: the two are separate
-      formula sequences);
-    - out: [k.(5 + 3*o + j)] = partial of output [o] (0..4, order as
-      above) w.r.t. bias [j] (0 = vgs, 1 = vds, 2 = vbs). *)
+    - out: [k.(0..4)] = id, qg, qd, qs, qb in NMOS sign conventions (id >= 0
+      for normal operation, charges in natural NMOS polarity);
+    - out, only when [partials]: [k.(5 + 3*o + j)] = partial of output [o]
+      (0..4, order as above) w.r.t. bias [j] (0 = vgs, 1 = vds, 2 = vbs).
+    The values are computed first and the same way whatever [partials]
+    is, so both paths {!make} derives from a kernel agree bit for bit; a
+    buffer of 5 floats suffices without [partials], 20 with. *)
 
 type derivs = {
   v : float array;
@@ -80,19 +77,19 @@ val make :
   polarity:polarity ->
   width:float ->
   length:float ->
-  ?canonical_derivs:canonical_kernel ->
-  canonical:canonical_eval ->
-  unit ->
+  kernel:canonical_kernel ->
   t
-(** Wrap canonical equations with polarity mirroring and Vds < 0 swap.
-    When [canonical_derivs] is given, the same mirroring/swap chain rule is
-    applied to the kernel's analytic derivatives and exposed as
-    [eval_derivs]. *)
+(** Wrap a model's kernel with polarity mirroring and the Vds < 0 swap.
+    Both paths run the kernel behind the same mirroring: [eval] with
+    [~partials:false] on a fresh 5-float buffer, [eval_derivs] (always
+    [Some]) with [~partials:true] in the caller's [kbuf], applying the
+    mirroring/swap chain rule to the partials.  Their values are therefore
+    bitwise equal at every bias. *)
 
 val canonical_key : polarity -> float array -> unit
 (** [canonical_key polarity key] maps terminal voltages
-    [key.(0..3)] = vg, vd, vs, vb to what {!make}'s [eval_derivs] feeds
-    its kernel: [key.(0..2)] = the canonical vgs, vds, vbs (polarity
+    [key.(0..3)] = vg, vd, vs, vb to what {!make}'s two paths feed
+    their kernel: [key.(0..2)] = the canonical vgs, vds, vbs (polarity
     mirrored, source and drain ordered so vds >= 0) and [key.(3)] = 1.0
     when source and drain swapped, else 0.0.  Two calls with bitwise
     equal keys produce bitwise equal outputs, however their terminal

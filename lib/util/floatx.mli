@@ -38,6 +38,7 @@ val log10_safe : float -> float
     positive floor instead of nan/-inf), used for [log10 Ioff] metrics. *)
 
 val softplus : float -> float
+[@@vstat.allow "dead-export"] (* floor-tested: reference for the models' inlined copies *)
 (** Numerically-stable ln(1 + exp x): linear for large x, exp for small. *)
 
 val pp_table :

@@ -8,7 +8,8 @@
    bytes each, index order).  It prints the computed lines either way, so
    a deliberate numerics change regenerates the file from its output; the
    file may only change together with a CHANGES.md entry that explains
-   why the numbers moved.
+   why the numbers moved.  On a mismatch it names each workload that
+   changed, is missing from the computed set, or is unexpected in it.
 
    Usage: golden.exe DIGEST_FILE *)
 
@@ -27,6 +28,43 @@ let digest_line name ~n ~seed (v : float array) =
   Printf.sprintf "%s n=%d seed=%d values=%d mean=%s std=%s crc32=%08x" name n
     seed k (bits mean) (bits std)
     (Vstat_util.Crc32.digest (Bytes.unsafe_to_string b))
+
+(* The value path of the device models on their own: [eval]'s five
+   outputs of the 600/40 nm seed cards at a fixed grid that covers
+   subthreshold, triode, saturation, forward and reverse body bias and the
+   source/drain-swapped quadrant (vd < vs).  The PMOS sees the mirrored
+   grid.  Every other line reaches [eval] only through extraction or a
+   circuit solve. *)
+let device_eval name make =
+  let vgs = [ 0.0; 0.2; 0.35; 0.5; 0.7; 0.9 ]
+  and vds = [ 0.0; 0.05; 0.3; 0.6; 0.9 ]
+  and vss = [ 0.0; 0.4; 0.9 ]
+  and vbs = [ -0.3; 0.0; 0.2 ] in
+  let grid =
+    List.concat_map
+      (fun vg ->
+        List.concat_map
+          (fun vd ->
+            List.concat_map
+              (fun vs -> List.map (fun vb -> (vg, vd, vs, vb)) vbs)
+              vss)
+          vds)
+      vgs
+  in
+  let module Dm = Vstat_device.Device_model in
+  let outputs polarity sign =
+    let (d : Dm.t) = make ~polarity ~w_nm:600.0 ~l_nm:40.0 in
+    List.concat_map
+      (fun (vg, vd, vs, vb) ->
+        let st =
+          d.Dm.eval ~vg:(sign *. vg) ~vd:(sign *. vd) ~vs:(sign *. vs)
+            ~vb:(sign *. vb)
+        in
+        [ st.Dm.id; st.qg; st.qd; st.qs; st.qb ])
+      grid
+  in
+  digest_line ("device_eval_" ^ name) ~n:(List.length grid) ~seed:0
+    (Array.of_list (outputs Dm.Nmos 1.0 @ outputs Dm.Pmos (-1.0)))
 
 (* Serial per-sample loop over counter-indexed substreams. *)
 let per_sample ~n ~seed f =
@@ -111,11 +149,53 @@ let workloads (p : P.t) =
       [| is.Vstat_rare.Importance.p_hat |];
   ]
   @ inv @ nand2 @ nor2 @ pipe
+  @ [
+      device_eval "vs" Vstat_device.Cards.vs_seed_device;
+      device_eval "bsim" Vstat_device.Cards.bsim_device;
+    ]
 
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+(* The workload name is a line's first field. *)
+let name_of line =
+  match String.index_opt line ' ' with
+  | Some i -> String.sub line 0 i
+  | None -> line
+
+(* Name each differing workload: [changed] (expected and actual line),
+   [missing] (expected, not computed) or [unexpected] (computed, not
+   expected).  When every line matches but the order differs, say so. *)
+let report ~want ~got =
+  let find name lines =
+    List.find_opt (fun l -> String.equal (name_of l) name) lines
+  in
+  let diffs = ref 0 in
+  let say kind name lines =
+    incr diffs;
+    Printf.eprintf "  %s: %s\n" kind name;
+    List.iter (fun (tag, l) -> Printf.eprintf "    %s: %s\n" tag l) lines
+  in
+  List.iter
+    (fun w ->
+      let name = name_of w in
+      match find name got with
+      | None -> say "missing" name [ ("expected", w) ]
+      | Some g when not (String.equal g w) ->
+        say "changed" name [ ("expected", w); ("actual", g) ]
+      | Some _ -> ())
+    want;
+  List.iter
+    (fun g ->
+      let name = name_of g in
+      if Option.is_none (find name want) then
+        say "unexpected" name [ ("actual", g) ])
+    got;
+  if !diffs = 0 then
+    prerr_endline "  same workloads and lines, in a different order";
+  Printf.eprintf "  %d workloads differ\n" !diffs
 
 let () =
   let path =
@@ -134,6 +214,6 @@ let () =
       (List.length got) path
   else begin
     Printf.eprintf "golden digests differ from %s\n" path;
-    List.iter (Printf.eprintf "  expected: %s\n") want;
+    report ~want ~got;
     exit 1
   end

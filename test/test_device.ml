@@ -300,28 +300,39 @@ let eval_derivs_exn (d : Dm.t) =
   | Some f -> f
   | None -> Alcotest.fail "device has no analytic derivative path"
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Both paths run the model's one kernel, so [eval_derivs]' values are
+   [eval]'s bit for bit. *)
+let values_match_eval (d : Dm.t) buf ~vg ~vd ~vs ~vb =
+  let st = d.Dm.eval ~vg ~vd ~vs ~vb in
+  eval_derivs_exn d ~vg ~vd ~vs ~vb buf;
+  List.for_all2 same_bits
+    [ st.Dm.id; st.qg; st.qd; st.qs; st.qb ]
+    (Array.to_list buf.Dm.v)
+
 let test_derivs_values_match_eval () =
   List.iter
     (fun (name, d) ->
-      let ed = eval_derivs_exn d in
       let buf = Dm.make_derivs () in
       List.iter
         (fun (vg, vd, vs, vb) ->
-          let st = d.Dm.eval ~vg ~vd ~vs ~vb in
-          ed ~vg ~vd ~vs ~vb buf;
-          let chk what expected actual =
-            Alcotest.(check bool)
-              (Printf.sprintf "%s %s at (%g,%g,%g,%g)" name what vg vd vs vb)
-              true
-              (Vstat_util.Floatx.close ~rtol:1e-12 ~atol:1e-30 expected actual)
-          in
-          chk "id" st.Dm.id buf.Dm.v.(0);
-          chk "qg" st.qg buf.v.(1);
-          chk "qd" st.qd buf.v.(2);
-          chk "qs" st.qs buf.v.(3);
-          chk "qb" st.qb buf.v.(4))
+          Alcotest.(check bool)
+            (Printf.sprintf "%s values bitwise at (%g,%g,%g,%g)" name vg vd vs
+               vb)
+            true
+            (values_match_eval d buf ~vg ~vd ~vs ~vb))
         (deriv_grid_for d))
     all_devices
+
+let prop_derivs_values_bitwise =
+  QCheck.Test.make ~name:"eval_derivs values are eval's bit for bit"
+    ~count:500 (QCheck.make bias_gen)
+    (fun (vg, vd, vs, vb) ->
+      let buf = Dm.make_derivs () in
+      List.for_all
+        (fun (_, d) -> values_match_eval d buf ~vg ~vd ~vs ~vb)
+        all_devices)
 
 (* Central finite differences of the plain value path, terminal by terminal,
    must agree with the analytic conductances and transcapacitances. *)
@@ -385,7 +396,9 @@ let test_without_derivs_strips_path () =
   Alcotest.(check bool) "eval_derivs gone" true (stripped.Dm.eval_derivs = None);
   let st1 = nmos_vs.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
   let st2 = stripped.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
-  check_float ~eps:1e-18 "value path intact" st1.Dm.id st2.Dm.id
+  Alcotest.(check bool)
+    "value path intact" true
+    (same_bits st1.Dm.id st2.Dm.id)
 
 let prop_derivs_match_fd_random =
   QCheck.Test.make
@@ -578,6 +591,7 @@ let () =
         [
           Alcotest.test_case "values match eval" `Quick
             test_derivs_values_match_eval;
+          QCheck_alcotest.to_alcotest prop_derivs_values_bitwise;
           Alcotest.test_case "match central FD" `Quick
             test_derivs_match_central_fd;
           Alcotest.test_case "without_derivs strips" `Quick
