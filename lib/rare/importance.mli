@@ -72,7 +72,7 @@ val mc_equivalent_samples : result -> float
 (** Plain-MC sample count that would match this run's interval half-width
     at the same confidence: p(1-p) · (z / half_width)², using the run's
     own [p_hat].  The ratio of this to [n] is the variance-reduction
-    speedup recorded by [bench --rare].  [nan] when the interval is
+    speedup that [examples/sram_yield.ml] prints.  [nan] when the interval is
     degenerate (no hits). *)
 
 val pp : Format.formatter -> result -> unit

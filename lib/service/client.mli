@@ -14,6 +14,7 @@ val request :
   socket_path:string ->
   Protocol.request ->
   (Protocol.response, string) result
+[@@vstat.allow "dead-export"] (* perfbench: svc health, status, shutdown *)
 (** One round-trip.  Connect failures ([ENOENT], [ECONNREFUSED]) are
     retried up to [attempts] times (default 8) with
     backoff [50ms * 2^k * (0.5 + U[0,1))]; protocol and socket errors

@@ -12,6 +12,11 @@
      Startup recovery re-enqueues the interrupted journal; resubmitting
      the same spec dedupes onto it.
 
+   Then a 4-worker pool survives injected crashes and hangs, a rate-1
+   crash job lands in typed quarantine, and a one-worker, one-slot daemon
+   sheds overload with typed [Queue_full] and [Over_deadline] rejections
+   while the jobs it accepted still finish whole.
+
    The contract under drill: the restarted daemon's result must be
    bit-identical to the golden daemon's — same sample values, mean, std
    and confidence interval to the last IEEE bit — because every sample is
@@ -32,19 +37,26 @@ let spec =
   { P.kind = P.Inverter_tpd { fanout = 3 }; n = 400; seed = 20130318;
     vdd = 1.0; retry = 4 }
 
+(* Daemons forked and not yet reaped.  A failing drill kills them, so no
+   orphaned daemon outlives the test. *)
+let live = ref []
+
 let die fmt =
   Printf.ksprintf
     (fun m ->
       prerr_endline ("daemon_chaos: " ^ m);
+      List.iter
+        (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+        !live;
       exit 1)
     fmt
 
-let config ?(workers = 1) ?(poison_retries = 3) ?(hang_timeout_s = 30.0)
-    ?(state_max_bytes = 0) ~dir ~jobs ~inject () =
+let config ?(workers = 1) ?(queue_max = 16) ?(poison_retries = 3)
+    ?(hang_timeout_s = 30.0) ?(state_max_bytes = 0) ~dir ~jobs ~inject () =
   {
     S.socket_path = Filename.concat dir "vstatd.sock";
     state_dir = dir;
-    queue_max = 16;
+    queue_max;
     workers;
     jobs;
     poison_retries;
@@ -74,14 +86,18 @@ let spawn_daemon cfg =
         1
     in
     Unix._exit code
-  | pid -> pid
+  | pid ->
+    live := pid :: !live;
+    pid
 
 let wait_exit pid what =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED c -> die "%s daemon exited with %d" what c
-  | _, Unix.WSIGNALED s -> die "%s daemon killed by signal %d" what s
-  | _, Unix.WSTOPPED _ -> die "%s daemon stopped" what
+  let status = snd (Unix.waitpid [] pid) in
+  live := List.filter (fun p -> p <> pid) !live;
+  match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> die "%s daemon exited with %d" what c
+  | Unix.WSIGNALED s -> die "%s daemon killed by signal %d" what s
+  | Unix.WSTOPPED _ -> die "%s daemon stopped" what
 
 (* First contact allows extra connect attempts: the child is still
    building its extraction pipeline before the socket exists. *)
@@ -91,13 +107,44 @@ let ping ~socket_path =
   | Ok _ -> die "unexpected response to health ping"
   | Error m -> die "health ping failed: %s" m
 
-let submit ?client ?(job = spec) ~socket_path () =
-  match Client.submit ?client ~socket_path ~spec:job ~deadline_s:0.0 () with
-  | Ok (P.Accepted { id; _ }) -> id
-  | Ok (P.Rejected { reason = P.Bad_request { detail } }) ->
-    die "submit rejected: %s" detail
-  | Ok _ -> die "unexpected response to submit"
+let submit_response ?client ?(job = spec) ?(deadline_s = 0.0) ~socket_path
+    () =
+  match Client.submit ?client ~socket_path ~spec:job ~deadline_s () with
+  | Ok r -> r
   | Error m -> die "submit failed: %s" m
+
+let submit ?client ?job ~socket_path () =
+  match submit_response ?client ?job ~socket_path () with
+  | P.Accepted { id; _ } -> id
+  | P.Rejected { reason = P.Bad_request { detail } } ->
+    die "submit rejected: %s" detail
+  | _ -> die "unexpected response to submit"
+
+let describe_submit = function
+  | P.Accepted { id; cached } ->
+    Printf.sprintf "Accepted %s (cached %b)" id cached
+  | P.Rejected { reason = P.Queue_full { queued; queue_max } } ->
+    Printf.sprintf "Queue_full %d/%d" queued queue_max
+  | P.Rejected { reason = P.Over_deadline { estimated_wait_s; deadline_s } } ->
+    Printf.sprintf "Over_deadline (wait %g s > %g s)" estimated_wait_s
+      deadline_s
+  | P.Rejected { reason = P.Bad_request { detail } } -> "Bad_request " ^ detail
+  | _ -> "a non-submit response"
+
+(* Poll until a worker has picked [id] up: [true] once it is running,
+   [false] if it already finished. *)
+let wait_running ~socket_path ~id what =
+  let rec go n =
+    if n = 0 then die "%s job never started" what;
+    match Client.request ~socket_path (P.Status { id }) with
+    | Ok (P.Job_status { state = P.Running; _ }) -> true
+    | Ok (P.Job_status { state = P.Done; _ }) -> false
+    | Ok (P.Job_status { state = P.Queued _; _ }) | Ok _ ->
+      Unix.sleepf 0.005;
+      go (n - 1)
+    | Error m -> die "status poll failed: %s" m
+  in
+  go 4000
 
 let fetch ~socket_path ~id =
   match Client.await ~socket_path ~id () with
@@ -181,18 +228,8 @@ let () =
   if not (String.equal id id') then
     die "job id differs across daemons (%s vs %s): content address broken" id
       id';
-  (* Poll until the worker has picked the job up, then strike. *)
-  let rec wait_running n =
-    if n = 0 then die "victim job never started";
-    match Client.request ~socket_path:sock (P.Status { id }) with
-    | Ok (P.Job_status { state = P.Running; _ }) -> true
-    | Ok (P.Job_status { state = P.Done; _ }) -> false
-    | Ok (P.Job_status { state = P.Queued _; _ }) | Ok _ ->
-      Unix.sleepf 0.005;
-      wait_running (n - 1)
-    | Error m -> die "status poll failed: %s" m
-  in
-  let struck_mid_run = wait_running 4000 in
+  (* Wait until the worker has picked the job up, then strike. *)
+  let struck_mid_run = wait_running ~socket_path:sock ~id "victim" in
   if struck_mid_run then Unix.sleepf 0.4
   else
     (* The stall budget makes this effectively unreachable, but a fast
@@ -306,5 +343,55 @@ let () =
   ping ~socket_path:sock;
   shutdown ~socket_path:sock;
   wait_exit pid "poison";
+
+  (* --- shed: one worker, one queue slot; expect typed rejections ----- *)
+  (* Stalls keep job A mid-flight, as in the victim drill, so B fills the
+     only queue slot and C finds it full.  Once A has finished, the
+     daemon's per-sample cost estimate is warm, and D's 1 us deadline is
+     shorter than any wait it can promise. *)
+  let dir = fresh_dir "shed" in
+  let sock = Filename.concat dir "vstatd.sock" in
+  let inject =
+    match FS.parse_spec "1:stall:0.05" with
+    | Ok c -> Some c
+    | Error m -> die "inject spec: %s" m
+  in
+  let pid = spawn_daemon (config ~queue_max:1 ~dir ~jobs:1 ~inject ()) in
+  ping ~socket_path:sock;
+  let shed_job seed =
+    { P.kind = P.Idsat; n = 16; seed; vdd = 1.0; retry = 2 }
+  in
+  let id_a = submit ~job:(shed_job 1) ~socket_path:sock () in
+  if not (wait_running ~socket_path:sock ~id:id_a "shed A") then
+    die "shed drill: job A finished before B and C were submitted";
+  let id_b = submit ~job:(shed_job 2) ~socket_path:sock () in
+  (match submit_response ~job:(shed_job 3) ~socket_path:sock () with
+  | P.Rejected { reason = P.Queue_full { queued = 1; queue_max = 1 } } -> ()
+  | r ->
+    die "shed drill: job C got %s, want Queue_full 1/1" (describe_submit r));
+  let whole what id (s : P.summary) =
+    if s.P.partial || s.P.completed <> s.P.n || s.P.failed <> 0 then
+      die "shed drill: job %s (%s) degraded: completed %d/%d failed %d" what
+        id s.P.completed s.P.n s.P.failed
+  in
+  whole "A" id_a (fetch ~socket_path:sock ~id:id_a);
+  (match
+     submit_response ~job:(shed_job 4) ~deadline_s:1e-6 ~socket_path:sock ()
+   with
+  | P.Rejected { reason = P.Over_deadline _ } -> ()
+  | r ->
+    die "shed drill: job D got %s, want Over_deadline" (describe_submit r));
+  whole "B" id_b (fetch ~socket_path:sock ~id:id_b);
+  (match Client.request ~socket_path:sock P.Health with
+  | Ok (P.Health_report h) ->
+    if h.P.rejected <> 2 then
+      die "shed drill: health reports %d rejections, want 2" h.P.rejected
+  | Ok _ -> die "unexpected response to shed health"
+  | Error m -> die "shed health failed: %s" m);
+  shutdown ~socket_path:sock;
+  wait_exit pid "shed";
+  print_endline
+    "daemon_chaos: shed drill rejected C (Queue_full) and D (Over_deadline); \
+     A and B finished whole";
 
   print_endline "daemon_chaos: PASS"

@@ -12,7 +12,8 @@
    The statistical quality of the estimators (coverage of an exact tail,
    bounded weights, interval tightening) is covered by test_rare on an
    analytic problem; cross-validation against a brute-force golden at
-   full sample counts runs in `vstat sram-yield` and `bench --rare`. *)
+   full sample counts runs in `vstat sram-yield` and
+   `examples/sram_yield.exe`. *)
 
 module Y = Vstat_experiments.Exp_sram_yield
 module I = Vstat_rare.Importance
