@@ -26,9 +26,10 @@ open Toolkit
 let pipeline = Vstat_core.Pipeline.build ~seed:42 ~mc_per_geometry:600 ()
 let vdd = pipeline.vdd
 
-(* Every benchmark owns a private substream of the master bench seed, so
-   adding, removing or reordering benches never perturbs another bench's
-   sample path.  (Deterministic per-iteration RNG would make samples
+(* Every sampling benchmark owns a private substream of the master bench
+   seed.  Substreams are numbered in definition order, so adding, removing
+   or reordering a bench shifts the sample paths of the benches defined
+   after it.  (Deterministic per-iteration RNG would make samples
    identical; a per-bench mutable stream is fine since cost is
    state-independent.) *)
 let bench_rng =
@@ -216,44 +217,6 @@ let bench_inverter_transient name ~strip_derivs ~trap =
          let options = { (Vstat_circuit.Engine.current_options ()) with trap } in
          Vstat_circuit.Engine.transient ~options eng ~tstop:400e-12 ~dt:1e-12))
 
-let bench_ring_oscillator =
-  let rng = bench_rng () in
-  Test.make ~name:"circuit/ring-oscillator-vs"
-    (Staged.stage (fun () ->
-         let tech = vs_tech (Vstat_util.Rng.split rng) in
-         Vstat_cells.Ring_oscillator.measure
-           (Vstat_cells.Ring_oscillator.sample tech)))
-
-let bench_chain =
-  let rng = bench_rng () in
-  Test.make ~name:"circuit/ssta-chain-vs"
-    (Staged.stage (fun () ->
-         let tech = vs_tech (Vstat_util.Rng.split rng) in
-         Vstat_cells.Chain.measure (Vstat_cells.Chain.sample ~stages:8 tech)))
-
-let bench_ac_sweep =
-  let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
-  let devices =
-    Vstat_cells.Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0
-  in
-  let net = Vstat_circuit.Netlist.create () in
-  let gnd = Vstat_circuit.Netlist.ground net in
-  let nvdd = Vstat_circuit.Netlist.node net "vdd" in
-  let nin = Vstat_circuit.Netlist.node net "in" in
-  let nout = Vstat_circuit.Netlist.node net "out" in
-  Vstat_circuit.Netlist.vsource net "vvdd" ~plus:nvdd ~minus:gnd
-    ~wave:(Vstat_circuit.Waveform.Dc vdd);
-  Vstat_circuit.Netlist.vsource net "vin" ~plus:nin ~minus:gnd
-    ~wave:(Vstat_circuit.Waveform.Dc (0.45 *. vdd));
-  Vstat_cells.Gates.add_inverter net ~name:"x" ~devices ~input:nin
-    ~output:nout ~vdd_node:nvdd ~gnd;
-  let eng = Vstat_circuit.Engine.compile net in
-  let op = Vstat_circuit.Engine.dc eng in
-  Test.make ~name:"circuit/ac-sweep-40pt"
-    (Staged.stage (fun () ->
-         Vstat_circuit.Ac.sweep eng ~op ~source:"vin"
-           ~freqs_hz:(Vstat_util.Floatx.logspace 6.0 12.0 40)))
-
 let tests =
   Test.make_grouped ~name:"vstat"
     [
@@ -288,9 +251,6 @@ let tests =
         ~trap:false;
       bench_inverter_transient "ablation/jacobian-fd" ~strip_derivs:true
         ~trap:false;
-      bench_ring_oscillator;
-      bench_chain;
-      bench_ac_sweep;
     ]
 
 let run_benchmarks () =

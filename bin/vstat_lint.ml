@@ -10,13 +10,12 @@
    file).
 
    With --deep, the per-file pass additionally feeds a two-phase
-   cross-module analysis: per-module summaries (cached under
-   --summary-cache, keyed by source + environment digests) are resolved
-   into a project call graph and checked for determinism taint reaching
-   [@vstat.entry] hot entry points, for unguarded module-level mutable
-   state reachable from Domain.spawn roots, and for .mli exports no other
-   non-test module uses.  Taint and race findings carry the full
-   cross-module call path. *)
+   cross-module analysis: one serial, in-memory pass summarizes every
+   module, resolves the summaries into a project call graph and checks it
+   for determinism taint reaching [@vstat.entry] hot entry points, for
+   unguarded module-level mutable state reachable from Domain.spawn roots,
+   and for .mli exports no other non-test module uses.  Taint and race
+   findings carry the full cross-module call path. *)
 
 module L = Vstat_lint_core
 
@@ -27,9 +26,7 @@ let () =
   let paths = ref [] in
   let list_rules = ref false in
   let deep = ref false in
-  let cache_dir = ref "" in
   let root = ref "" in
-  let jobs = ref 0 in
   let spec =
     [
       ( "--format",
@@ -52,19 +49,10 @@ let () =
         Arg.Set deep,
         " run the cross-module pass (determinism-taint, domain-safety, \
          dead-export) on top of the per-file rules" );
-      ( "--summary-cache",
-        Arg.Set_string cache_dir,
-        "DIR  with --deep: cache per-module summaries here, re-summarizing \
-         only files whose source or suppression environment changed" );
       ( "--root",
         Arg.Set_string root,
         "DIR  chdir here before scanning, so paths (and lint.allow \
          prefixes) are repo-relative" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N    with --deep: worker domains for the summarization phase \
-         (default: the runtime's default pool size); diagnostics are \
-         identical for every N" );
       ("--list-rules", Arg.Set list_rules, " print the rule registry and exit");
     ]
   in
@@ -100,25 +88,11 @@ let () =
   in
   let cfg = L.Engine.default_config ~allow () in
   let paths = List.rev !paths in
-  if !deep then begin
-    let cache_dir = if !cache_dir = "" then None else Some !cache_dir in
-    let jobs = if !jobs > 0 then Some !jobs else None in
-    match L.Engine.run_deep ?jobs ?cache_dir ~excludes:!excludes cfg paths with
-    | r ->
-      L.Report.print !format stdout
-        ~files_scanned:r.L.Engine.deep_files
-        ~deep:(r.L.Engine.deep_rebuilt, r.L.Engine.deep_cached)
-        r.L.Engine.deep_diags;
-      exit (if r.L.Engine.deep_diags = [] then 0 else 1)
-    | exception Sys_error msg ->
-      Printf.eprintf "vstat_lint: %s\n" msg;
-      exit 2
-  end
-  else
-    match L.Engine.run ~excludes:!excludes cfg paths with
-    | files_scanned, diags ->
-      L.Report.print !format stdout ~files_scanned diags;
-      exit (if diags = [] then 0 else 1)
-    | exception Sys_error msg ->
-      Printf.eprintf "vstat_lint: %s\n" msg;
-      exit 2
+  let run = if !deep then L.Engine.run_deep else L.Engine.run in
+  match run ~excludes:!excludes cfg paths with
+  | files_scanned, diags ->
+    L.Report.print !format stdout ~files_scanned diags;
+    exit (if diags = [] then 0 else 1)
+  | exception Sys_error msg ->
+    Printf.eprintf "vstat_lint: %s\n" msg;
+    exit 2

@@ -655,6 +655,19 @@ type newton_outcome =
   | N_nonfinite of { iter : int }
   | N_work_cap
 
+(* What a failure diagnostic reports about a failed Newton solve: its
+   iteration count, its last update norm (iteration cap only) and a
+   message suffix naming a singular pivot. *)
+let outcome_report = function
+  | N_max_iter { iter; dmax } -> (Some iter, Some dmax, "")
+  | N_singular { iter; column; scale } ->
+    ( Some iter,
+      None,
+      Printf.sprintf "; singular pivot at unknown %d (scale %g)" column scale
+    )
+  | N_nonfinite { iter } -> (Some iter, None, "")
+  | N_converged | N_work_cap -> (None, None, "")
+
 (* Newton iteration in place on [x] (normally [t.xws]).  On [N_converged]
    the solution is in [x] with the matching charge state in
    [t.q_work]/[t.i_work]; on any other outcome the contents of [x] are
@@ -829,20 +842,10 @@ let dc_core ?guess ~opts ~time t =
       else if any_nonfinite then Nonfinite_update
       else Dc_no_convergence
     in
-    let stage, newton_iter, dmax =
+    let stage, (newton_iter, dmax, detail) =
       match fails with
-      | (stage, N_max_iter { iter; dmax }) :: _ ->
-        (Some stage, Some iter, Some dmax)
-      | (stage, (N_singular { iter; _ } | N_nonfinite { iter })) :: _ ->
-        (Some stage, Some iter, None)
-      | _ -> (None, None, None)
-    in
-    let detail =
-      match fails with
-      | (_, N_singular { column; scale; _ }) :: _ ->
-        Printf.sprintf "; singular pivot at unknown %d (scale %g)" column
-          scale
-      | _ -> ""
+      | (stage, outcome) :: _ -> (Some stage, outcome_report outcome)
+      | [] -> (None, (None, None, ""))
     in
     Diag.fail ~time ?newton_iter ?stage ?dmax ~counters:(counter_snapshot t)
       ~analysis:"dc" kind "all continuation strategies failed (%d stages)%s"
@@ -943,7 +946,6 @@ let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
   let time = ref 0.0 in
   let h = ref dt in
   let dt_min = dt *. opts.dt_min_factor in
-  let last_reject = ref None in
   (* Step-mode cache: in steady state every step has h = dt, so the [Tran]
      record is rebuilt only when the step size actually changes (step
      rejection, breakpoint truncation, the final partial step) instead of
@@ -1013,32 +1015,18 @@ let[@vstat.entry] transient_raw ?options t ~tstop ~dt =
         t.work_cap
     | outcome ->
       bump t c_rejected 1;
-      last_reject := Some outcome;
       h := h_now /. 2.0;
       if !h < dt_min then begin
         flush_counters t;
         (* The floor itself is the symptom; classify by what kept killing
            the steps on the way down. *)
         let kind : Diag.kind =
-          match !last_reject with
-          | Some (N_nonfinite _) -> Nonfinite_update
-          | Some (N_singular _) -> Singular_jacobian
+          match outcome with
+          | N_nonfinite _ -> Nonfinite_update
+          | N_singular _ -> Singular_jacobian
           | _ -> Tran_step_floor
         in
-        let newton_iter, dmax =
-          match !last_reject with
-          | Some (N_max_iter { iter; dmax }) -> (Some iter, Some dmax)
-          | Some (N_singular { iter; _ } | N_nonfinite { iter }) ->
-            (Some iter, None)
-          | _ -> (None, None)
-        in
-        let detail =
-          match !last_reject with
-          | Some (N_singular { column; scale; _ }) ->
-            Printf.sprintf "; singular pivot at unknown %d (scale %g)"
-              column scale
-          | _ -> ""
-        in
+        let newton_iter, dmax, detail = outcome_report outcome in
         Diag.fail ~time:!time ?newton_iter ?dmax
           ~stage:(Printf.sprintf "h=%.3e dt_min=%.3e" !h dt_min)
           ~counters:(counter_snapshot t) ~analysis:"transient" kind

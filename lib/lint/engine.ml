@@ -21,10 +21,9 @@
    source), module-level mutable state,
    aliases/opens for name resolution, and guard context (lexical
    [Mutex.protect] / [Atomic.*] / [Domain.DLS] nesting, per-function
-   mutex-taking).  {!run_deep} drives phase 1 over the project — in
-   parallel via the runtime pool, behind a digest-keyed summary cache —
-   then hands the summaries to {!Callgraph}, {!Taint} and {!Dead_export}
-   for phase 2. *)
+   mutex-taking).  {!run_deep} drives phase 1 over the project, one file
+   after another, then hands the summaries to {!Callgraph}, {!Taint} and
+   {!Dead_export} for phase 2. *)
 
 open Parsetree
 
@@ -783,28 +782,16 @@ let read_source path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* compiler-libs keeps parser state (docstring and lexer tables) in module
-   globals, so parsing — and only parsing — is serialized when phase 1
-   fans out across domains.  The AST walk works on immutable trees. *)
-let parse_mutex = Mutex.create ()
-
-let parse_implementation_string path src =
-  Mutex.protect parse_mutex (fun () ->
-      let lexbuf = Lexing.from_string src in
-      Location.init lexbuf path;
-      Parse.implementation lexbuf)
-
-let parse_interface_string path src =
-  Mutex.protect parse_mutex (fun () ->
-      let lexbuf = Lexing.from_string src in
-      Location.init lexbuf path;
-      Parse.interface lexbuf)
+let lexbuf_of path src =
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf path;
+  lexbuf
 
 (* The top-level [val]s of a module's interface, for the dead-export rule.
    An interface that does not parse exports nothing here; the compiler
    reports it. *)
 let exports_of_interface path src =
-  match parse_interface_string path src with
+  match Parse.interface (lexbuf_of path src) with
   | sg ->
     List.filter_map
       (fun si ->
@@ -823,21 +810,11 @@ let exports_of_interface path src =
 
 let interface_path path = Filename.remove_extension path ^ ".mli"
 
-let read_interface path =
-  let intf = interface_path path in
-  if Sys.file_exists intf then Some (read_source intf) else None
-
-(* The cache key covers the interface too: editing an .mli changes the
-   module's exports. *)
-let source_digest src intf =
-  Vstat_util.Crc32.digest
-    (match intf with None -> src | Some i -> src ^ "\x00" ^ i)
-
 let modname_of path =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename path))
 
-let analyze_src cfg ~path ~src ~intf ~env_digest =
+let analyze_src cfg ~path ~src ~intf =
   let st =
     {
       cfg;
@@ -865,7 +842,7 @@ let analyze_src cfg ~path ~src ~intf ~env_digest =
       locals = Hashtbl.create 64;
     }
   in
-  (match parse_implementation_string path src with
+  (match Parse.implementation (lexbuf_of path src) with
   | structure ->
     prepass st structure;
     let it = make_iterator st in
@@ -880,12 +857,9 @@ let analyze_src cfg ~path ~src ~intf ~env_digest =
     in
     emit st ~rule:Rules.parse_error ~loc msg);
   flush_cur st;
-  let diags = List.sort Diagnostic.compare st.diags in
   let summary =
     {
       Summary.sfile = path;
-      src_digest = source_digest src intf;
-      env_digest;
       modname = modname_of path;
       floors = List.sort_uniq String.compare st.file_allows;
       aliases = List.rev st.s_aliases;
@@ -897,13 +871,22 @@ let analyze_src cfg ~path ~src ~intf ~env_digest =
         (match intf with
         | Some i -> exports_of_interface (interface_path path) i
         | None -> []);
-      diags;
     }
   in
-  (diags, summary)
+  (List.sort Diagnostic.compare st.diags, summary)
 
 let lint_file cfg path =
-  fst (analyze_src cfg ~path ~src:(read_source path) ~intf:None ~env_digest:0)
+  fst (analyze_src cfg ~path ~src:(read_source path) ~intf:None)
+
+(* Phase 1 for one file: its per-file diagnostics and its summary, which
+   carries the exports of the sibling [.mli] when there is one. *)
+let summarize_file cfg path =
+  let src = read_source path in
+  let intf =
+    let p = interface_path path in
+    if Sys.file_exists p then Some (read_source p) else None
+  in
+  analyze_src cfg ~path ~src ~intf
 
 (* Deterministic directory walk: readdir order is unspecified, so entries
    are sorted before descent. *)
@@ -936,108 +919,14 @@ let run ?excludes cfg paths =
 
 (* --- the deep (cross-module) pass --------------------------------------- *)
 
-type deep_result = {
-  deep_files : int;
-  deep_rebuilt : int;  (* files (re-)summarized this run *)
-  deep_cached : int;   (* files served from the summary cache *)
-  deep_diags : Diagnostic.t list;
-}
-
-(* Bump when the summary contents or the rules deriving them change: a
-   version bump invalidates every cached summary at once. *)
-let deep_version = "vstat-lint-deep-2"
-
-(* Cached summaries store post-suppression diagnostics, so anything that
-   changes what is suppressed — the allowlist, the engine version, the
-   per-layer exception prefixes — must be part of the cache key. *)
-let env_fingerprint cfg =
-  Vstat_util.Crc32.digest
-    (String.concat "\x00"
-       (deep_version
-        :: Allowlist.fingerprint cfg.allow
-        :: (cfg.exn_strict_prefixes @ ("|" :: cfg.exn_failwith_prefixes))))
-
-let sanitize_slot s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '_')
-    s
-
-(* One cache file per source file: basename for readability, a digest of
-   the full path to keep same-named files in different directories (the
-   two engine.ml, the fixture corpus) from colliding. *)
-let cache_slot cache_dir path =
-  Filename.concat cache_dir
-    (Printf.sprintf "%s-%08x.vsum"
-       (sanitize_slot (Filename.remove_extension (Filename.basename path)))
-       (Vstat_util.Crc32.digest path))
-
-(* Returns the summary and whether it had to be rebuilt from source. *)
-let summarize_file cfg ~env_digest ~cache_dir path =
-  let src = read_source path in
-  let intf = read_interface path in
-  let digest = source_digest src intf in
-  let cached =
-    match cache_dir with
-    | None -> None
-    | Some dir -> (
-      match Vstat_util.Atomic_io.read_file ~path:(cache_slot dir path) with
-      | Error _ -> None
-      | Ok contents -> (
-        match Summary.of_string contents with
-        | Some s
-          when s.Summary.src_digest = digest
-               && s.Summary.env_digest = env_digest
-               && s.Summary.sfile = path ->
-          Some s
-        | _ -> None))
-  in
-  match cached with
-  | Some s -> (s, false)
-  | None ->
-    let _, s = analyze_src cfg ~path ~src ~intf ~env_digest in
-    (match cache_dir with
-    | Some dir ->
-      Vstat_util.Atomic_io.write_file ~path:(cache_slot dir path)
-        (Summary.to_string s)
-    | None -> ());
-    (s, true)
-
-let run_deep ?jobs ?cache_dir ?excludes cfg paths =
-  let files = Array.of_list (collect_files ?excludes paths) in
-  let env_digest = env_fingerprint cfg in
-  let n = Array.length files in
-  (* Phase 1 in parallel: summaries are independent per file (parsing
-     itself is serialized behind [parse_mutex]), results land in an
-     index-stable array, and phase 2 consumes them in path order — so the
-     diagnostics are identical under any jobs count. *)
-  let run =
-    Vstat_runtime.Runtime.map_samples ?jobs ~n
-      ~f:(fun i -> summarize_file cfg ~env_digest ~cache_dir files.(i))
-      ()
-  in
-  Vstat_runtime.Runtime.reraise_first_failure run;
-  let results =
-    Array.map
-      (function Ok r -> r | Error _ -> assert false)
-      run.Vstat_runtime.Runtime.cells
-  in
-  let rebuilt =
-    Array.fold_left
-      (fun acc (_, fresh) -> if fresh then acc + 1 else acc)
-      0 results
-  in
-  let summaries = Array.to_list (Array.map fst results) in
-  let per_file = List.concat_map (fun s -> s.Summary.diags) summaries in
+(* Phase 1 summarizes the files in path order; phase 2 builds the call
+   graph from all summaries at once.  Returns what {!run} returns. *)
+let run_deep ?excludes cfg paths =
+  let files = collect_files ?excludes paths in
+  let per_file, summaries = List.split (List.map (summarize_file cfg) files) in
   let cg = Callgraph.build summaries in
   let deep =
     Taint.analyze ~allow:cfg.allow cg @ Dead_export.analyze ~allow:cfg.allow cg
   in
-  {
-    deep_files = n;
-    deep_rebuilt = rebuilt;
-    deep_cached = n - rebuilt;
-    deep_diags = List.sort Diagnostic.compare (per_file @ deep);
-  }
+  ( List.length files,
+    List.sort Diagnostic.compare (List.concat per_file @ deep) )

@@ -260,7 +260,7 @@ let map_subset_attempt_samples ?jobs ?on_progress ?(retry = no_retry)
   run_core ?jobs ?on_progress ?should_stop ~policy:retry ~n ~indices ~f ()
 
 let map_attempt_samples ?jobs ?on_progress ?(retry = no_retry) ~n ~f () =
-  if n < 0 then invalid_arg "Runtime.map_samples: n must be >= 0";
+  if n < 0 then invalid_arg "Runtime.map_attempt_samples: n must be >= 0";
   let p =
     run_core ?jobs ?on_progress ~policy:retry ~n
       ~indices:(Array.init n (fun i -> i))
@@ -277,11 +277,6 @@ let map_attempt_samples ?jobs ?on_progress ?(retry = no_retry) ~n ~f () =
         n stats.jobs stats.wall_s stats.samples_per_sec (failed_count run)
         stats.retried_samples stats.recovered_samples);
   run
-
-let map_samples ?jobs ?on_progress ?retry ~n ~f () =
-  map_attempt_samples ?jobs ?on_progress ?retry ~n
-    ~f:(fun ~attempt:_ i -> f i)
-    ()
 
 let map_rng_attempt_samples ?jobs ?on_progress ?retry ~rng ~n ~f () =
   let seed = Int64.to_int (Vstat_util.Rng.bits64 rng) in

@@ -102,23 +102,6 @@ val default_jobs : unit -> int
 val set_default_jobs : int -> unit
 (** Force the process-wide default ([--jobs] in the CLIs). *)
 
-val map_samples :
-  ?jobs:int ->
-  ?on_progress:(completed:int -> n:int -> unit) ->
-  ?retry:retry_policy ->
-  n:int ->
-  f:(int -> 'a) ->
-  unit ->
-  'a run
-(** [map_samples ~n ~f] evaluates [f i] for [i] in [0 .. n-1] across the
-    worker pool.  [f] must be safe to call concurrently from several
-    domains (pure up to private state — true of all samplers here, which
-    derive everything from their substream index).  [on_progress] is
-    invoked under a mutex from worker context after each chunk.  With
-    [retry], a failed sample is re-run in place (same index, same worker)
-    up to [max_attempts] times; use {!map_attempt_samples} when retries
-    should escalate solver options. *)
-
 val map_attempt_samples :
   ?jobs:int ->
   ?on_progress:(completed:int -> n:int -> unit) ->
@@ -127,13 +110,20 @@ val map_attempt_samples :
   f:(attempt:int -> int -> 'a) ->
   unit ->
   'a run
-[@@vstat.allow "dead-export"] (* test seam: test_runtime drives the ladder *)
-(** Like {!map_samples} but [f] also receives the 0-based attempt number,
-    so the call site can escalate per attempt (halve the step, raise the
-    iteration cap, extend the gmin ladder, ...).  Determinism contract: the
-    value of sample [i] is whatever [f ~attempt:k i] first returns without
-    raising, and since the ladder is evaluated inline per index, that value
-    is identical under any [jobs] count. *)
+[@@vstat.allow "dead-export"] (* test seam: test_runtime drives the pool *)
+(** [map_attempt_samples ~n ~f] evaluates [f ~attempt:0 i] for [i] in
+    [0 .. n-1] across the worker pool.  [f] must be safe to call
+    concurrently from several domains (pure up to private state — true of
+    all samplers here, which derive everything from their substream
+    index).  [on_progress] is invoked under a mutex from worker context
+    after each chunk.  With [retry], a failed sample is re-run in place
+    (same index, same worker) up to [max_attempts] times, and [attempt]
+    is the 0-based attempt number, so the call site can escalate per
+    attempt (halve the step, raise the iteration cap, extend the gmin
+    ladder, ...).  Determinism contract: the value of sample [i] is
+    whatever [f ~attempt:k i] first returns without raising, and since
+    the ladder is evaluated inline per index, that value is identical
+    under any [jobs] count. *)
 
 type stop_cause =
   | Completed  (** every scheduled index was evaluated *)

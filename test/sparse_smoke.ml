@@ -2,7 +2,7 @@
    (Chain.sample / Chain.measure, one compiled engine per sample):
    - jobs:1 vs jobs:4 bit-identity of the sparse Monte Carlo path;
    - sparse vs dense per-sample agreement within 1e-9 relative.
-   Runs under @sparse (the CI sparse job) and the default @runtest. *)
+   Runs under @sparse and the default @runtest. *)
 
 module E = Vstat_circuit.Engine
 module Runtime = Vstat_runtime.Runtime
@@ -19,12 +19,12 @@ let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 (* Per-sample delays, [None] where a sample failed; more than 20 % failed
    samples fail the smoke. *)
 let run ~jobs backend p =
-  let f i =
+  let f ~attempt:_ i =
     let rng = Vstat_util.Rng.substream ~seed ~index:i in
     let tech = Vstat_core.Techs.stochastic_vs p ~rng ~vdd in
     Chain.measure ~steps ~backend (Chain.sample ~stages tech)
   in
-  let r = Runtime.map_samples ~jobs ~n ~f () in
+  let r = Runtime.map_attempt_samples ~jobs ~n ~f () in
   Runtime.check_budget ~label:"sparse_smoke" ~max_failure_frac:0.2 r;
   Array.map Result.to_option r.Runtime.cells
 

@@ -756,7 +756,17 @@ let test_dc_no_convergence () =
     Alcotest.(check string)
       "classified as singular" "singular_jacobian"
       (Vstat_circuit.Diag.kind_name d.Vstat_circuit.Diag.kind);
-    Alcotest.(check string) "dc analysis" "dc" d.Vstat_circuit.Diag.analysis
+    Alcotest.(check string) "dc analysis" "dc" d.Vstat_circuit.Diag.analysis;
+    (* The last failed stage's Newton outcome: a singular pivot names the
+       unknown and carries no update norm. *)
+    Alcotest.(check string) "message"
+      "all continuation strategies failed (3 stages); singular pivot at \
+       unknown 2 (scale 1)"
+      d.Vstat_circuit.Diag.message;
+    Alcotest.(check (option int)) "newton iteration" (Some 0)
+      d.Vstat_circuit.Diag.newton_iter;
+    Alcotest.(check bool) "no update norm" true
+      (d.Vstat_circuit.Diag.dmax = None)
 
 let test_transient_no_convergence () =
   let eng = conflicting_sources () in
@@ -815,7 +825,14 @@ let test_transient_step_floor_typed () =
     Alcotest.(check string) "step floor" "tran_step_floor"
       (Diag.kind_name d.Diag.kind);
     Alcotest.(check string) "transient analysis" "transient" d.Diag.analysis;
-    Alcotest.(check bool) "failure time recorded" true (d.Diag.time <> None)
+    Alcotest.(check bool) "failure time recorded" true (d.Diag.time <> None);
+    (* An iteration-capped rejection reports its iteration count and last
+       update norm, and no pivot. *)
+    Alcotest.(check string) "message" "step rejected below dt_min"
+      d.Diag.message;
+    Alcotest.(check (option int)) "newton iteration" (Some 1)
+      d.Diag.newton_iter;
+    Alcotest.(check bool) "update norm recorded" true (d.Diag.dmax <> None)
 
 let test_work_cap_exceeded () =
   let c, _, _ = build_inverter () in

@@ -48,12 +48,14 @@ let prop_substream_distinct_indices =
       draws 8 (Rng.substream ~seed ~index:i)
       <> draws 8 (Rng.substream ~seed ~index:j))
 
-(* --- Runtime.map_samples --- *)
+(* --- Runtime.map_attempt_samples --- *)
 
 let test_map_identity () =
   List.iter
     (fun jobs ->
-      let r = Rt.map_samples ~jobs ~n:17 ~f:(fun i -> i * i) () in
+      let r =
+        Rt.map_attempt_samples ~jobs ~n:17 ~f:(fun ~attempt:_ i -> i * i) ()
+      in
       Alcotest.(check int) "all ok" 17 (Rt.ok_count r);
       Alcotest.(check bool) "index-stable cells" true
         (Array.to_list r.cells
@@ -61,7 +63,9 @@ let test_map_identity () =
     [ 1; 3 ]
 
 let test_map_empty () =
-  let r = Rt.map_samples ~jobs:4 ~n:0 ~f:(fun i -> i) () in
+  let r =
+    Rt.map_attempt_samples ~jobs:4 ~n:0 ~f:(fun ~attempt:_ i -> i) ()
+  in
   Alcotest.(check int) "no samples" 0 (Array.length r.cells)
 
 let prop_map_rng_jobs_invariant =
@@ -78,8 +82,8 @@ exception Boom of int
 
 let test_fault_capture () =
   let r =
-    Rt.map_samples ~jobs:2 ~n:20
-      ~f:(fun i -> if i mod 5 = 0 then raise (Boom i) else i)
+    Rt.map_attempt_samples ~jobs:2 ~n:20
+      ~f:(fun ~attempt:_ i -> if i mod 5 = 0 then raise (Boom i) else i)
       ()
   in
   Alcotest.(check int) "failed count" 4 (Rt.failed_count r);
@@ -102,8 +106,8 @@ let contains ~sub s =
 
 let test_budget () =
   let r =
-    Rt.map_samples ~jobs:1 ~n:10
-      ~f:(fun i -> if i < 3 then failwith "sample blew up" else i)
+    Rt.map_attempt_samples ~jobs:1 ~n:10
+      ~f:(fun ~attempt:_ i -> if i < 3 then failwith "sample blew up" else i)
       ()
   in
   Rt.check_budget ~label:"t" ~max_failure_frac:0.5 r;
@@ -117,8 +121,8 @@ let test_budget () =
 
 let test_reraise_first_failure () =
   let r =
-    Rt.map_samples ~jobs:3 ~n:12
-      ~f:(fun i -> if i >= 7 then raise (Boom i) else i)
+    Rt.map_attempt_samples ~jobs:3 ~n:12
+      ~f:(fun ~attempt:_ i -> if i >= 7 then raise (Boom i) else i)
       ()
   in
   Alcotest.check_raises "lowest-index exception rethrown" (Boom 7) (fun () ->
@@ -127,9 +131,9 @@ let test_reraise_first_failure () =
 let test_stats_and_progress () =
   let last = ref 0 in
   let r =
-    Rt.map_samples ~jobs:2 ~n:30
+    Rt.map_attempt_samples ~jobs:2 ~n:30
       ~on_progress:(fun ~completed ~n:_ -> last := Int.max !last completed)
-      ~f:(fun i -> i)
+      ~f:(fun ~attempt:_ i -> i)
       ()
   in
   Alcotest.(check int) "progress saw the last sample" 30 !last;
@@ -143,7 +147,9 @@ let test_stats_and_progress () =
 let test_budget_empty_run () =
   (* n = 0 must never trip the budget, even at a zero failure allowance
      (0 * frac = 0 used to compare 0 > 0.0 — the guard keeps it silent). *)
-  let r = Rt.map_samples ~jobs:2 ~n:0 ~f:(fun i -> i) () in
+  let r =
+    Rt.map_attempt_samples ~jobs:2 ~n:0 ~f:(fun ~attempt:_ i -> i) ()
+  in
   Rt.check_budget ~label:"empty" ~max_failure_frac:0.0 r;
   Alcotest.(check int) "no failures" 0 (Rt.failed_count r);
   Alcotest.(check (list (pair string int))) "empty census" []
@@ -153,8 +159,8 @@ let test_census_ordering () =
   (* Two failure species with different frequencies: the census must come
      back most-frequent-first with exact counts. *)
   let r =
-    Rt.map_samples ~jobs:3 ~n:12
-      ~f:(fun i ->
+    Rt.map_attempt_samples ~jobs:3 ~n:12
+      ~f:(fun ~attempt:_ i ->
         if i < 6 then failwith "common"
         else if i < 8 then raise (Boom i)
         else i)
