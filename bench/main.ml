@@ -15,8 +15,8 @@
                   (Figs. 5-9)
    - speed/*    : raw model-evaluation cost and per-sample circuit cost for
                   both models through the same engine (Table IV)
-   - ablation/* : backward-Euler vs trapezoidal integration and analytic
-                  vs finite-difference Jacobians, on one inverter transient
+   - ablation/* : backward-Euler vs trapezoidal integration on one
+                  inverter transient
 
    Run with: dune exec bench/main.exe *)
 
@@ -177,22 +177,11 @@ let bsim_dev =
   Vstat_core.Bsim_statistical.nominal_device pipeline.golden_nmos ~w_nm:600.0
     ~l_nm:40.0
 
-(* The ablation inverter.  [strip_derivs] strips the devices' analytic
-   derivative path, forcing the 5-evals-per-device finite-difference
-   linearization the engine used to always pay. *)
-let build_inverter_engine ~strip_derivs =
+(* The ablation inverter. *)
+let build_inverter_engine () =
   let tech = Vstat_core.Techs.nominal_vs pipeline ~vdd in
   let devices =
     Vstat_cells.Gates.sample_inverter tech ~wp_nm:600.0 ~wn_nm:300.0
-  in
-  let devices =
-    if strip_derivs then
-      {
-        Vstat_cells.Gates.pmos =
-          Vstat_device.Device_model.without_derivs devices.pmos;
-        nmos = Vstat_device.Device_model.without_derivs devices.nmos;
-      }
-    else devices
   in
   let net = Vstat_circuit.Netlist.create () in
   let gnd = Vstat_circuit.Netlist.ground net in
@@ -209,11 +198,11 @@ let build_inverter_engine ~strip_derivs =
   Vstat_circuit.Engine.compile net
 
 (* Every ablation times this one inverter transient, varying only the
-   Jacobian path or the integrator. *)
-let bench_inverter_transient name ~strip_derivs ~trap =
+   integrator. *)
+let bench_inverter_transient name ~trap =
   Test.make ~name
     (Staged.stage (fun () ->
-         let eng = build_inverter_engine ~strip_derivs in
+         let eng = build_inverter_engine () in
          let options = { (Vstat_circuit.Engine.current_options ()) with trap } in
          Vstat_circuit.Engine.transient ~options eng ~tstop:400e-12 ~dt:1e-12))
 
@@ -244,13 +233,8 @@ let tests =
       bench_model_eval "speed/table4-vs-eval-100" vs_dev;
       bench_model_eval "speed/table4-bsim-eval-100" bsim_dev;
       bench_inverter_transient "ablation/integrator-backward-euler"
-        ~strip_derivs:false ~trap:false;
-      bench_inverter_transient "ablation/integrator-trapezoidal"
-        ~strip_derivs:false ~trap:true;
-      bench_inverter_transient "ablation/jacobian-analytic" ~strip_derivs:false
         ~trap:false;
-      bench_inverter_transient "ablation/jacobian-fd" ~strip_derivs:true
-        ~trap:false;
+      bench_inverter_transient "ablation/integrator-trapezoidal" ~trap:true;
     ]
 
 let run_benchmarks () =
@@ -278,9 +262,7 @@ let run_benchmarks () =
           | _ -> Fmt.pr "%-40s (no estimate)@." name)
         (List.sort compare rows))
     instances;
-  (* Aggregate circuit-engine work across every bench iteration above: a
-     quick sanity check that the analytic Jacobian path dominates (fd > 0
-     only from the ablation/jacobian-fd group and FD-only devices). *)
+  (* Aggregate circuit-engine work across every bench iteration above. *)
   let c = Vstat_circuit.Engine.global_counters () in
   Fmt.pr "== engine counters (all benches) ==@.";
   List.iter
@@ -288,8 +270,6 @@ let run_benchmarks () =
     [
       ("newton-iterations", c.Vstat_circuit.Engine.newton_iterations);
       ("model-evaluations", c.model_evaluations);
-      ("analytic-evals", c.analytic_evaluations);
-      ("fd-evals", c.fd_evaluations);
       ("assemblies", c.assemblies);
       ("lu-factorizations", c.lu_factorizations);
       ("accepted-steps", c.accepted_steps);

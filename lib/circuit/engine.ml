@@ -85,8 +85,6 @@ type mode = Dc | Tran of { h : float; trap : bool }
 type counters = {
   newton_iterations : int;
   model_evaluations : int;
-  analytic_evaluations : int;
-  fd_evaluations : int;
   assemblies : int;
   lu_factorizations : int;
   accepted_steps : int;
@@ -94,23 +92,19 @@ type counters = {
   breakpoint_hits : int;
 }
 
-let n_counters = 9
+let n_counters = 7
 let c_newton = 0
 let c_model = 1
-let c_analytic = 2
-let c_fd = 3
-let c_assembly = 4
-let c_lu = 5
-let c_accepted = 6
-let c_rejected = 7
-let c_breakpoint = 8
+let c_assembly = 2
+let c_lu = 3
+let c_accepted = 4
+let c_rejected = 5
+let c_breakpoint = 6
 
 let counters_of_array a =
   {
     newton_iterations = a.(c_newton);
     model_evaluations = a.(c_model);
-    analytic_evaluations = a.(c_analytic);
-    fd_evaluations = a.(c_fd);
     assemblies = a.(c_assembly);
     lu_factorizations = a.(c_lu);
     accepted_steps = a.(c_accepted);
@@ -122,8 +116,6 @@ let counters_diff a b =
   {
     newton_iterations = a.newton_iterations - b.newton_iterations;
     model_evaluations = a.model_evaluations - b.model_evaluations;
-    analytic_evaluations = a.analytic_evaluations - b.analytic_evaluations;
-    fd_evaluations = a.fd_evaluations - b.fd_evaluations;
     assemblies = a.assemblies - b.assemblies;
     lu_factorizations = a.lu_factorizations - b.lu_factorizations;
     accepted_steps = a.accepted_steps - b.accepted_steps;
@@ -180,14 +172,16 @@ type t = {
   xws : float array;                 (* Newton iterate *)
   mutable q_work : float array;      (* charges at the current candidate *)
   mutable i_work : float array;      (* charge currents at the candidate *)
-  (* Device bypass memo, one slot per MOSFET ([mos_slot] maps element ->
-     slot, -1 for other elements): the slot's own derivative buffer
-     ([dbufs]), which still holds the outputs of the analytic path's last
+  (* Per-MOSFET slots ([mos_slot] maps element -> slot, -1 for other
+     elements): the device's analytic path, read out of its option once
+     here ([mos_eval]), and its bypass memo: the slot's own derivative
+     buffer ([dbufs]), which still holds the outputs of the last
      evaluation, the {!Device_model.canonical_key} of that evaluation
      ([memo_key], 4 per slot) and whether the slot holds a completed
      evaluation ([memo_ok]).  [key] is the scratch the current call's key
      is built in. *)
   mos_slot : int array;
+  mos_eval : Vstat_device.Device_model.eval_derivs array;
   dbufs : Vstat_device.Device_model.derivs array;
   memo_key : float array;
   memo_ok : bool array;
@@ -203,12 +197,29 @@ type t = {
   mutable work_cap : int;
 }
 
+(* What MNA unknown [c] is, for diagnostics: node voltages come first,
+   then the voltage sources' branch currents in insertion order. *)
+let unknown_name netlist ~nn c =
+  if c < nn then
+    match
+      List.find_opt
+        (fun (_, h) -> Netlist.node_index h = c + 1)
+        (Netlist.all_nodes netlist)
+    with
+    | Some (name, _) -> "voltage of node " ^ name
+    | None -> "a node voltage"
+  else
+    match List.nth_opt (Netlist.vsource_names netlist) (c - nn) with
+    | Some name -> "branch current of " ^ name
+    | None -> "a branch current"
+
 let compile ?(backend = Auto) netlist =
   let elems = Array.of_list (Netlist.elements netlist) in
   let nn = Netlist.node_count netlist in
   let charge_offset = Array.make (Array.length elems) (-1) in
   let mos_slot = Array.make (Array.length elems) (-1) in
   let n_mos = ref 0 in
+  let mos_eval = ref [] in
   let n_charges = ref 0 in
   let nv = ref 0 in
   let vsrc_index = ref [] in
@@ -218,7 +229,16 @@ let compile ?(backend = Auto) netlist =
       | Netlist.Capacitor _ ->
         charge_offset.(k) <- !n_charges;
         n_charges := !n_charges + 1
-      | Netlist.Mosfet _ ->
+      | Netlist.Mosfet { name; dev; _ } ->
+        (match dev.Vstat_device.Device_model.eval_derivs with
+        | Some f -> mos_eval := f :: !mos_eval
+        | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Engine.compile: MOSFET %s (device %s) has no analytic \
+                derivatives"
+               name dev.Vstat_device.Device_model.name)
+          [@vstat.allow "exn-discipline"]);
         charge_offset.(k) <- !n_charges;
         n_charges := !n_charges + 4;
         mos_slot.(k) <- !n_mos;
@@ -270,9 +290,21 @@ let compile ?(backend = Auto) netlist =
         (Array.iter (fun (r, c) ->
              if r >= 0 && c >= 0 then entries := (r, c) :: !entries))
         coords;
+      let entries = Array.of_list !entries in
       let sym =
-        Vstat_linalg.Sparse.analyze_cached ~n
-          ~entries:(Array.of_list !entries)
+        match Vstat_linalg.Sparse.analyze_cached ~n ~entries with
+        | sym -> sym
+        | exception (Vstat_linalg.Linalg_error.Numeric_error _ as e) -> (
+          (* A structurally singular pattern is the dense backend's
+             singular Jacobian found before any solve: same kind. *)
+          match Vstat_linalg.Sparse.uncovered_column ~n ~entries with
+          | None -> raise e
+          | Some c ->
+            Diag.fail ~analysis:"compile" Singular_jacobian
+              "structurally singular MNA matrix: no pivot covers unknown %d \
+               (%s)"
+              c
+              (unknown_name netlist ~nn c))
       in
       let num = Vstat_linalg.Sparse.create_numeric sym in
       let slot (r, c) =
@@ -318,6 +350,7 @@ let compile ?(backend = Auto) netlist =
     q_work = Array.make nq 0.0;
     i_work = Array.make nq 0.0;
     mos_slot;
+    mos_eval = Array.of_list (List.rev !mos_eval);
     dbufs =
       Array.init !n_mos (fun _ -> Vstat_device.Device_model.make_derivs ());
     memo_key = Array.make (4 * !n_mos) 0.0;
@@ -353,8 +386,6 @@ let counter_snapshot t =
     ("steps", t.cnt.(c_accepted));
     ("rejected", t.cnt.(c_rejected));
   ]
-
-let fd_dv = 1e-6
 
 (* Voltage of a node handle under candidate solution [x]. *)
 let[@inline always] nodev x n =
@@ -419,30 +450,26 @@ let[@inline always] stamp_charge_row vals res ~sl ~factor ~trap ~q_out
   vadd vals sl.(o + 2) (factor *. dq.(o + 2));
   vadd vals sl.(o + 3) (factor *. dq.(o + 3))
 
-(* Node-handle variant for the cold finite-difference fallback. *)
-let res_add res n v = res_addi res (Netlist.node_index n) v
-
 (* Assemble Jacobian and residual at candidate [x] into the instance
    workspace (t.jac, t.res); also writes the present element charges into
    [t.q_work] and (in transient) terminal currents into [t.i_work] so the
    accepted solution can become the next step's state.  Sources are
    evaluated at time [t.now.(0)].
 
-   Analytic MOSFETs go through the device bypass ([memo_hit]): a device
-   whose canonical key (the polarity-mirrored, source/drain-ordered bias
-   triple plus swap flag its kernel would see) is bitwise that of its
-   previous evaluation reuses the outputs still in its slot's buffer
-   instead of making a new model call.  Quiet stages (a Newton update of
-   exactly 0.0, or one too small to move vdd - v) and each transient
-   step's first iteration (at the [x] the previous step's final assembly
-   already evaluated) hit.  The model/analytic counters count the calls
-   actually made.
+   MOSFETs go through the device bypass ([memo_hit]): a device whose
+   canonical key (the polarity-mirrored, source/drain-ordered bias triple
+   plus swap flag its kernel would see) is bitwise that of its previous
+   evaluation reuses the outputs still in its slot's buffer instead of
+   making a new model call.  Quiet stages (a Newton update of exactly 0.0,
+   or one too small to move vdd - v) and each transient step's first
+   iteration (at the [x] the previous step's final assembly already
+   evaluated) hit.  The model counter counts the calls actually made.
 
-   Allocation-free on the linear and analytic-MOSFET paths, with two
-   documented exceptions: [Waveform.value] (out-of-line, so each source
-   evaluation boxes its time argument and result) and the [eval_derivs]
-   indirect call on a bypass miss (a closure call boxes its four float
-   arguments, at most 8 words; the kernels behind it allocate nothing).
+   Allocation-free, with two documented exceptions: [Waveform.value]
+   (out-of-line, so each source evaluation boxes its time argument and
+   result) and the [eval_derivs] indirect call on a bypass miss (a closure
+   call boxes its four float arguments, at most 8 words; the kernels
+   behind it allocate nothing).
    The zero-allocation gate therefore measures a source-free RC circuit
    exactly, and a MOSFET chain against those two allowances; see
    test/test_lint.ml. *)
@@ -524,127 +551,61 @@ let[@vstat.hot] assemble t ~mode ~x ~q_prev ~i_prev ~gmin ~sscale =
       and vb = nodev x b in
       let off = t.charge_offset.(k) in
       let sl = slots.(k) in
-      (match dev.Vstat_device.Device_model.eval_derivs with
-      | Some eval_derivs ->
-        (* Analytic path: one model call (or a bypass hit) yields values,
-           conductances and the 4x4 transcapacitance block. *)
-        let m = t.mos_slot.(k) in
-        let db = t.dbufs.(m) in
-        let key = t.key in
-        key.(0) <- vg;
-        key.(1) <- vd;
-        key.(2) <- vs;
-        key.(3) <- vb;
-        Vstat_device.Device_model.canonical_key
-          dev.Vstat_device.Device_model.polarity key;
-        if not (memo_hit t m) then begin
-          (* Invalid until the call returns: a raising device leaves no
-             stale slot behind. *)
-          t.memo_ok.(m) <- false;
-          bump t c_model 1;
-          bump t c_analytic 1;
-          eval_derivs ~vg ~vd ~vs ~vb db;
-          Array.blit key 0 t.memo_key (4 * m) 4;
-          t.memo_ok.(m) <- true
-        end;
-        let v = db.Vstat_device.Device_model.v
-        and did = db.Vstat_device.Device_model.did
-        and dq = db.Vstat_device.Device_model.dq in
-        (* Channel current: slot-block rows d (1) and s (2), columns in
-           terminal order g, d, s, b. *)
-        res_addi res ni_d v.(0);
-        res_addi res ni_s (-.v.(0));
-        vadd vals sl.(4) did.(0);
-        vadd vals sl.(5) did.(1);
-        vadd vals sl.(6) did.(2);
-        vadd vals sl.(7) did.(3);
-        vadd vals sl.(8) (-.did.(0));
-        vadd vals sl.(9) (-.did.(1));
-        vadd vals sl.(10) (-.did.(2));
-        vadd vals sl.(11) (-.did.(3));
-        (* Terminal charges. *)
-        q_out.(off) <- v.(1);
-        q_out.(off + 1) <- v.(2);
-        q_out.(off + 2) <- v.(3);
-        q_out.(off + 3) <- v.(4);
-        (match mode with
-        | Dc ->
-          for c = 0 to 3 do
-            i_out.(off + c) <- 0.0
-          done
-        | Tran { h; trap } ->
-          let factor = (if trap then 2.0 else 1.0) /. h in
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 0 (Netlist.node_index g);
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 1 ni_d;
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 2 ni_s;
-          stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
-            ~q_prev ~i_prev ~off ~dq 3 (Netlist.node_index b))
-      | None ->
-        (* Finite-difference fallback: 5 evals per linearization.  A cold
-           compatibility path for models without analytic derivatives — it
-           allocates by design (5 terminal-state records per device), so
-           the hot-path closure bans are waived here. *)
-        (let eval ~vg ~vd ~vs ~vb =
-           bump t c_model 1;
-           bump t c_fd 1;
-           dev.Vstat_device.Device_model.eval ~vg ~vd ~vs ~vb
-         in
-         let base = eval ~vg ~vd ~vs ~vb in
-         let perturbed =
-           [|
-             eval ~vg:(vg +. fd_dv) ~vd ~vs ~vb;
-             eval ~vg ~vd:(vd +. fd_dv) ~vs ~vb;
-             eval ~vg ~vd ~vs:(vs +. fd_dv) ~vb;
-             eval ~vg ~vd ~vs ~vb:(vb +. fd_dv);
-           |]
-         in
-         let terminals = [| g; d; s; b |] in
-         (* Channel current: slot-block rows d (1) and s (2). *)
-         res_add res d base.id;
-         res_add res s (-.base.id);
-         Array.iteri
-           (fun j p ->
-             let did =
-               (p.Vstat_device.Device_model.id -. base.id) /. fd_dv
-             in
-             vadd vals sl.(4 + j) did;
-             vadd vals sl.(8 + j) (-.did))
-           perturbed;
-         (* Terminal charges. *)
-         let q_of (st : Vstat_device.Device_model.terminal_state) = function
-           | 0 -> st.qg
-           | 1 -> st.qd
-           | 2 -> st.qs
-           | _ -> st.qb
-         in
-         for c = 0 to 3 do
-           q_out.(off + c) <- q_of base c
-         done;
-         match mode with
-         | Dc ->
-           for c = 0 to 3 do
-             i_out.(off + c) <- 0.0
-           done
-         | Tran { h; trap } ->
-           let factor = (if trap then 2.0 else 1.0) /. h in
-           for c = 0 to 3 do
-             let q = q_out.(off + c) in
-             let i =
-               (factor *. (q -. q_prev.(off + c)))
-               -. (if trap then i_prev.(off + c) else 0.0)
-             in
-             i_out.(off + c) <- i;
-             res_add res terminals.(c) i;
-             Array.iteri
-               (fun j p ->
-                 let dq = (q_of p c -. q) /. fd_dv in
-                 vadd vals sl.((4 * c) + j) (factor *. dq))
-               perturbed
-           done)
-        [@vstat.allow "hot-path"])
+      (* One model call (or a bypass hit) yields values, conductances and
+         the 4x4 transcapacitance block. *)
+      let m = t.mos_slot.(k) in
+      let db = t.dbufs.(m) in
+      let key = t.key in
+      key.(0) <- vg;
+      key.(1) <- vd;
+      key.(2) <- vs;
+      key.(3) <- vb;
+      Vstat_device.Device_model.canonical_key
+        dev.Vstat_device.Device_model.polarity key;
+      if not (memo_hit t m) then begin
+        (* Invalid until the call returns: a raising device leaves no
+           stale slot behind. *)
+        t.memo_ok.(m) <- false;
+        bump t c_model 1;
+        t.mos_eval.(m) ~vg ~vd ~vs ~vb db;
+        Array.blit key 0 t.memo_key (4 * m) 4;
+        t.memo_ok.(m) <- true
+      end;
+      let v = db.Vstat_device.Device_model.v
+      and did = db.Vstat_device.Device_model.did
+      and dq = db.Vstat_device.Device_model.dq in
+      (* Channel current: slot-block rows d (1) and s (2), columns in
+         terminal order g, d, s, b. *)
+      res_addi res ni_d v.(0);
+      res_addi res ni_s (-.v.(0));
+      vadd vals sl.(4) did.(0);
+      vadd vals sl.(5) did.(1);
+      vadd vals sl.(6) did.(2);
+      vadd vals sl.(7) did.(3);
+      vadd vals sl.(8) (-.did.(0));
+      vadd vals sl.(9) (-.did.(1));
+      vadd vals sl.(10) (-.did.(2));
+      vadd vals sl.(11) (-.did.(3));
+      (* Terminal charges. *)
+      q_out.(off) <- v.(1);
+      q_out.(off + 1) <- v.(2);
+      q_out.(off + 2) <- v.(3);
+      q_out.(off + 3) <- v.(4);
+      (match mode with
+      | Dc ->
+        for c = 0 to 3 do
+          i_out.(off + c) <- 0.0
+        done
+      | Tran { h; trap } ->
+        let factor = (if trap then 2.0 else 1.0) /. h in
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 0 (Netlist.node_index g);
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 1 ni_d;
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 2 ni_s;
+        stamp_charge_row vals res ~sl ~factor ~trap ~q_out ~i_out
+          ~q_prev ~i_prev ~off ~dq 3 (Netlist.node_index b))
   done
 
 (* Why a Newton solve stopped; carries the data the diagnostics need. *)

@@ -3,11 +3,10 @@
     The solution vector stacks node voltages (nodes 1..N) followed by the
     branch currents of voltage sources (in netlist insertion order).
     Nonlinear devices are linearized each Newton iteration through their
-    analytic derivative path ({!Vstat_device.Device_model.eval_derivs})
-    when the model provides one — a single model call per device per
-    iteration — falling back to one-sided finite differences (5 calls)
-    otherwise.  Convergence aids are a gmin floor, gmin stepping and source
-    stepping.
+    analytic derivative path ({!Vstat_device.Device_model.eval_derivs}):
+    at most one model call per device per iteration, none when the
+    device's bias is bitwise that of its previous call.  Convergence aids
+    are a gmin floor, gmin stepping and source stepping.
 
     Each compiled engine owns a reusable workspace (Jacobian values,
     residual, update vector, factor storage, charge-state scratch and a
@@ -37,6 +36,13 @@ type backend =
   | Sparse  (** force the sparse path (any size) *)
 
 val compile : ?backend:backend -> Netlist.t -> t
+(** Freeze a netlist into an engine.
+    @raise Invalid_argument naming the MOSFET whose device has no analytic
+      derivative path ([eval_derivs = None]).
+    @raise Diag.Solver_error of kind [Singular_jacobian] on the sparse
+      backend when the MNA pattern is structurally singular, naming the
+      unknown no pivot can cover (the dense backend reports the same kind
+      from the first solve). *)
 
 val resolved_backend : t -> backend
 [@@vstat.allow "dead-export"] (* test seam: test_circuit's Auto resolution *)
@@ -181,10 +187,8 @@ type counters = {
   newton_iterations : int;
       (** Newton iterations (linear solves attempted). *)
   model_evaluations : int;
-      (** Compact-model linearizations: 1 per device per iteration on the
-          analytic path, 5 on the finite-difference path. *)
-  analytic_evaluations : int;  (** ... of which used analytic derivatives. *)
-  fd_evaluations : int;        (** ... of which were FD perturbation calls. *)
+      (** Compact-model calls actually made: at most 1 per device per
+          assembly, fewer when the device bypass reuses a previous call. *)
   assemblies : int;            (** Full system assemblies (stamp passes). *)
   lu_factorizations : int;     (** In-place LU factorizations. *)
   accepted_steps : int;        (** Transient steps accepted. *)

@@ -135,8 +135,6 @@ let make ~name ~polarity ~width ~length ~(kernel : canonical_kernel) =
           store_terminal sign swapped k out);
   }
 
-let without_derivs t = { t with eval_derivs = None }
-
 let ids t ~vg ~vd ~vs ~vb = (t.eval ~vg ~vd ~vs ~vb).id
 
 let central f x dv = (f (x +. dv) -. f (x -. dv)) /. (2.0 *. dv)

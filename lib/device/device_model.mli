@@ -64,8 +64,9 @@ type t = {
   length : float;   (** electrical channel length, m *)
   eval : vg:float -> vd:float -> vs:float -> vb:float -> terminal_state;
   eval_derivs : eval_derivs option;
-      (** Analytic derivative path; [None] falls back to the engine's
-          finite-difference Jacobian (5 evals per linearization).  Its
+      (** Analytic derivative path, the one the circuit engine linearizes
+          through: [Vstat_circuit.Engine.compile] rejects a device whose
+          field is [None].  Every device {!make} builds has it.  Its
           outputs must depend on the terminal voltages only through
           {!canonical_key}: true of every device {!make} builds and of
           wrappers that pass the voltages through unchanged.  The
@@ -95,10 +96,6 @@ val canonical_key : polarity -> float array -> unit
     equal keys produce bitwise equal outputs, however their terminal
     voltages differ; the circuit engine's device bypass keys on this.
     Allocates nothing. *)
-
-val without_derivs : t -> t
-(** The same device with the analytic path stripped — forces the engine's
-    finite-difference fallback (ablation benches and tests). *)
 
 val ids : t -> vg:float -> vd:float -> vs:float -> vb:float -> float
 (** Drain current only (sign follows the real terminal convention: positive

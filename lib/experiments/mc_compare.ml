@@ -59,8 +59,6 @@ let engine_tallies ~before ~after =
   [
     ("newton", f d.Vstat_circuit.Engine.newton_iterations);
     ("model_evals", f d.model_evaluations);
-    ("analytic", f d.analytic_evaluations);
-    ("fd", f d.fd_evaluations);
     ("assemblies", f d.assemblies);
     ("lu", f d.lu_factorizations);
     ("steps", f d.accepted_steps);

@@ -111,7 +111,8 @@ let union_excluding a ~skip1 b ~skip2 =
 (* --- maximum transversal (MC21) ---------------------------------------- *)
 
 (* cols.(c) = sorted original rows with an entry in column c.  Returns
-   colmatch : column -> matched original row. *)
+   [Ok colmatch] (column -> matched original row), or [Error c] for the
+   first column no augmenting path covers. *)
 let max_transversal ~n ~cols =
   let rowmatch = Array.make n (-1) in
   let colmatch = Array.make n (-1) in
@@ -149,15 +150,33 @@ let max_transversal ~n ~cols =
     done;
     !found
   in
-  for c = 0 to n - 1 do
-    if colmatch.(c) = -1 && not (augment c c) then
-      Linalg_error.fail ~routine:"Sparse.analyze"
-        ~reason:
-          (Printf.sprintf
-             "structurally singular pattern: no transversal covers column %d"
-             c)
+  let uncovered = ref (-1) in
+  let c = ref 0 in
+  while !uncovered < 0 && !c < n do
+    if colmatch.(!c) = -1 && not (augment !c !c) then uncovered := !c;
+    incr c
   done;
-  colmatch
+  if !uncovered < 0 then Ok colmatch else Error !uncovered
+
+(* Column-wise sorted row lists of the deduplicated [keys]. *)
+let column_rows ~n keys =
+  let col_cnt = Array.make (max n 1) 0 in
+  Array.iter (fun k -> col_cnt.(k mod n) <- col_cnt.(k mod n) + 1) keys;
+  let cols = Array.init n (fun c -> Array.make col_cnt.(c) 0) in
+  let col_fill = Array.make (max n 1) 0 in
+  Array.iter
+    (fun k ->
+      let r = k / n and c = k mod n in
+      cols.(c).(col_fill.(c)) <- r;
+      col_fill.(c) <- col_fill.(c) + 1)
+    keys;
+  Array.iter (Array.sort int_compare) cols;
+  cols
+
+let uncovered_column ~n ~entries =
+  match max_transversal ~n ~cols:(column_rows ~n (dedup_keys ~n entries)) with
+  | Ok _ -> None
+  | Error c -> Some c
 
 (* --- minimum-degree ordering ------------------------------------------- *)
 
@@ -227,19 +246,16 @@ let analyze ~n:dim ~entries =
   let n = dim in
   let keys = dedup_keys ~n entries in
   let m = Array.length keys in
-  (* Column-wise row lists for the transversal. *)
-  let col_cnt = Array.make (max n 1) 0 in
-  Array.iter (fun k -> col_cnt.(k mod n) <- col_cnt.(k mod n) + 1) keys;
-  let cols = Array.init n (fun c -> Array.make col_cnt.(c) 0) in
-  let col_fill = Array.make (max n 1) 0 in
-  Array.iter
-    (fun k ->
-      let r = k / n and c = k mod n in
-      cols.(c).(col_fill.(c)) <- r;
-      col_fill.(c) <- col_fill.(c) + 1)
-    keys;
-  Array.iter (Array.sort int_compare) cols;
-  let colmatch = max_transversal ~n ~cols in
+  let colmatch =
+    match max_transversal ~n ~cols:(column_rows ~n keys) with
+    | Ok colmatch -> colmatch
+    | Error c ->
+      Linalg_error.fail ~routine:"Sparse.analyze"
+        ~reason:
+          (Printf.sprintf
+             "structurally singular pattern: no transversal covers column %d"
+             c)
+  in
   (* Row-permuted pattern B: A entry (r, c) lands at B row rowmatch(r).
      Build the symmetric adjacency of B ∪ Bᵀ (no self-loops). *)
   let rowmatch = Array.make (max n 1) 0 in

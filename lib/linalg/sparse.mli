@@ -48,6 +48,12 @@ val analyze_cached : n:int -> entries:(int * int) array -> symbolic
     topology for every MC sample reuses one analysis.  The cache is reset
     when it exceeds a small bound. *)
 
+val uncovered_column : n:int -> entries:(int * int) array -> int option
+(** [Some c] exactly when {!analyze} rejects the pattern as structurally
+    singular: [c] is the first column no maximum transversal covers (the
+    one {!analyze}'s error names).  [None] for a pattern it accepts.
+    @raise Invalid_argument as {!analyze}. *)
+
 val nnz : symbolic -> int
 [@@vstat.allow "dead-export"] (* perfbench: sizes the sparse LU probe *)
 (** Stored entries in the combined L+U pattern, fill included. *)

@@ -28,6 +28,19 @@ type target =
   | Fn of S.t * S.func
   | Glob of S.t * S.glob
 
+(* A function's identity: (file, dotted binding name). *)
+type key = string * string
+
+let key (s : S.t) (f : S.func) = (s.S.sfile, f.S.fname)
+
+(* A function's resolved outgoing references, in callsite order: calls of
+   project functions (callsite line, callee) and accesses of structure-level
+   mutable state. *)
+type resolved = {
+  calls : (int * key) list;
+  state : (S.reference * S.t * S.glob) list;
+}
+
 type fileinfo = {
   summary : S.t;
   dir : string;
@@ -43,6 +56,7 @@ type t = {
   wrapper_dir : (string, string) Hashtbl.t;    (* Wrapper -> dir *)
   order : (S.t * S.func) list;                 (* all funcs, (file, line) order *)
   summaries : S.t list;                        (* file order *)
+  resolved : (key, resolved) Hashtbl.t;        (* filled once by [build] *)
 }
 
 (* --- dune wrapper discovery --------------------------------------------- *)
@@ -95,57 +109,6 @@ let wrapper_of_dune_dir dir =
         match ident_at contents (j + 5) with
         | Some name -> Some (String.capitalize_ascii name)
         | None -> None)))
-
-(* --- construction ------------------------------------------------------- *)
-
-let build (summaries : S.t list) =
-  let files = Hashtbl.create 64 in
-  let by_dir_mod = Hashtbl.create 64 in
-  let by_mod : (string, string list) Hashtbl.t = Hashtbl.create 64 in
-  let wrapper_dir = Hashtbl.create 8 in
-  let seen_dirs = Hashtbl.create 8 in
-  List.iter
-    (fun (s : S.t) ->
-      let dir = Filename.dirname s.S.sfile in
-      let defs = Hashtbl.create 16 in
-      let globs = Hashtbl.create 4 in
-      let exports = Hashtbl.create 16 in
-      List.iter (fun (f : S.func) -> Hashtbl.replace defs f.S.fname f) s.S.funcs;
-      List.iter (fun (g : S.glob) -> Hashtbl.replace globs g.S.gname g) s.S.globals;
-      List.iter
-        (fun (e : S.export) -> Hashtbl.replace exports e.S.ename ())
-        s.S.exports;
-      Hashtbl.replace files s.S.sfile { summary = s; dir; defs; globs; exports };
-      Hashtbl.replace by_dir_mod (dir, s.S.modname) s.S.sfile;
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_mod s.S.modname) in
-      Hashtbl.replace by_mod s.S.modname
-        (List.sort_uniq String.compare (s.S.sfile :: prev));
-      if not (Hashtbl.mem seen_dirs dir) then begin
-        Hashtbl.replace seen_dirs dir ();
-        match wrapper_of_dune_dir dir with
-        | Some w -> Hashtbl.replace wrapper_dir w dir
-        | None -> ()
-      end)
-    summaries;
-  let summaries =
-    List.sort
-      (fun (a : S.t) (b : S.t) -> String.compare a.S.sfile b.S.sfile)
-      summaries
-  in
-  let order =
-    List.concat_map
-      (fun (s : S.t) -> List.map (fun f -> (s, f)) s.S.funcs)
-      summaries
-  in
-  let order =
-    List.sort
-      (fun ((sa : S.t), (fa : S.func)) (sb, fb) ->
-        match String.compare sa.S.sfile sb.S.sfile with
-        | 0 -> Int.compare fa.S.fline fb.S.fline
-        | c -> c)
-      order
-  in
-  { files; by_dir_mod; by_mod; wrapper_dir; order; summaries }
 
 let funcs t = t.order
 let summaries t = t.summaries
@@ -263,16 +226,96 @@ let resolve_export t from ~caller path =
   resolve_with t from ~caller path ~lookup:(fun fi name ->
       if Hashtbl.mem fi.exports name then Some (fi.summary, name) else None)
 
-(* Resolved outgoing edges of a function, in callsite order. *)
-let out_edges t (s : S.t) (f : S.func) =
-  List.filter_map
-    (fun (r : S.reference) ->
-      match resolve t s ~caller:f r.S.callee with
-      | Some target -> Some (r, target)
-      | None -> None)
-    (List.sort
-       (fun (a : S.reference) b ->
-         match Int.compare a.S.rline b.S.rline with
-         | 0 -> String.compare (String.concat "." a.S.callee) (String.concat "." b.S.callee)
-         | c -> c)
-       f.refs)
+(* Resolve every reference of [f] once, in callsite order. *)
+let resolve_refs t (s : S.t) (f : S.func) =
+  let calls, state =
+    List.partition_map
+      (fun ((r : S.reference), target) ->
+        match target with
+        | Fn (ts, tf) -> Either.Left (r.S.rline, key ts tf)
+        | Glob (gs, g) -> Either.Right (r, gs, g))
+      (List.filter_map
+         (fun (r : S.reference) ->
+           Option.map (fun target -> (r, target)) (resolve t s ~caller:f r.S.callee))
+         (List.sort
+            (fun (a : S.reference) b ->
+              match Int.compare a.S.rline b.S.rline with
+              | 0 -> String.compare (String.concat "." a.S.callee) (String.concat "." b.S.callee)
+              | c -> c)
+            f.refs))
+  in
+  { calls; state }
+
+(* The resolved fn->fn edges and mutable-state accesses of a function,
+   as [build] computed them. *)
+let resolved_of t k =
+  Option.value ~default:{ calls = []; state = [] }
+    (Hashtbl.find_opt t.resolved k)
+
+let calls t k = (resolved_of t k).calls
+let state_refs t k = (resolved_of t k).state
+
+(* --- construction ------------------------------------------------------- *)
+
+let build (summaries : S.t list) =
+  let files = Hashtbl.create 64 in
+  let by_dir_mod = Hashtbl.create 64 in
+  let by_mod : (string, string list) Hashtbl.t = Hashtbl.create 64 in
+  let wrapper_dir = Hashtbl.create 8 in
+  let seen_dirs = Hashtbl.create 8 in
+  List.iter
+    (fun (s : S.t) ->
+      let dir = Filename.dirname s.S.sfile in
+      let defs = Hashtbl.create 16 in
+      let globs = Hashtbl.create 4 in
+      let exports = Hashtbl.create 16 in
+      List.iter (fun (f : S.func) -> Hashtbl.replace defs f.S.fname f) s.S.funcs;
+      List.iter (fun (g : S.glob) -> Hashtbl.replace globs g.S.gname g) s.S.globals;
+      List.iter
+        (fun (e : S.export) -> Hashtbl.replace exports e.S.ename ())
+        s.S.exports;
+      Hashtbl.replace files s.S.sfile { summary = s; dir; defs; globs; exports };
+      Hashtbl.replace by_dir_mod (dir, s.S.modname) s.S.sfile;
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_mod s.S.modname) in
+      Hashtbl.replace by_mod s.S.modname
+        (List.sort_uniq String.compare (s.S.sfile :: prev));
+      if not (Hashtbl.mem seen_dirs dir) then begin
+        Hashtbl.replace seen_dirs dir ();
+        match wrapper_of_dune_dir dir with
+        | Some w -> Hashtbl.replace wrapper_dir w dir
+        | None -> ()
+      end)
+    summaries;
+  let summaries =
+    List.sort
+      (fun (a : S.t) (b : S.t) -> String.compare a.S.sfile b.S.sfile)
+      summaries
+  in
+  let order =
+    List.concat_map
+      (fun (s : S.t) -> List.map (fun f -> (s, f)) s.S.funcs)
+      summaries
+  in
+  let order =
+    List.sort
+      (fun ((sa : S.t), (fa : S.func)) (sb, fb) ->
+        match String.compare sa.S.sfile sb.S.sfile with
+        | 0 -> Int.compare fa.S.fline fb.S.fline
+        | c -> c)
+      order
+  in
+  let t =
+    {
+      files;
+      by_dir_mod;
+      by_mod;
+      wrapper_dir;
+      order;
+      summaries;
+      resolved = Hashtbl.create 256;
+    }
+  in
+  List.iter
+    (fun (s, f) -> Hashtbl.replace t.resolved (key s f) (resolve_refs t s f))
+    order;
+  t

@@ -22,7 +22,7 @@
 module S = Summary
 module C = Callgraph
 
-let key (s : S.t) (f : S.func) = (s.S.sfile, f.S.fname)
+let key = C.key
 
 let key_compare (fa, na) (fb, nb) =
   match String.compare fa fb with 0 -> String.compare na nb | c -> c
@@ -78,20 +78,6 @@ let first_nondet (f : S.func) =
 
 let determinism_taint ~allow cg =
   let funcs = C.funcs cg in
-  (* Resolved fn->fn edges, computed once. *)
-  let edges = Hashtbl.create 256 in
-  List.iter
-    (fun ((s : S.t), (f : S.func)) ->
-      let out =
-        List.filter_map
-          (fun ((r : S.reference), target) ->
-            match target with
-            | C.Fn (ts, tf) -> Some (r.S.rline, key ts tf)
-            | C.Glob _ -> None)
-          (C.out_edges cg s f)
-      in
-      Hashtbl.replace edges (key s f) out)
-    funcs;
   let node : (string * string, S.t * S.func) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun (s, f) -> Hashtbl.replace node (key s f) (s, f)) funcs;
   (* Least fixpoint by reverse propagation from the direct sources. *)
@@ -103,7 +89,7 @@ let determinism_taint ~allow cg =
         (fun (_, callee) ->
           Hashtbl.replace callers callee
             (k :: Option.value ~default:[] (Hashtbl.find_opt callers callee)))
-        (Option.value ~default:[] (Hashtbl.find_opt edges k)))
+        (C.calls cg k))
     funcs;
   let tainted = Hashtbl.create 64 in
   let work = Queue.create () in
@@ -140,9 +126,7 @@ let determinism_taint ~allow cg =
       then None
       else
         let edges_of k =
-          List.filter
-            (fun (_, next) -> Hashtbl.mem tainted next)
-            (Option.value ~default:[] (Hashtbl.find_opt edges k))
+          List.filter (fun (_, next) -> Hashtbl.mem tainted next) (C.calls cg k)
         in
         let is_goal k =
           match Hashtbl.find_opt node k with
@@ -195,27 +179,6 @@ let determinism_taint ~allow cg =
 
 let domain_safety ~allow cg =
   let funcs = C.funcs cg in
-  let fn_edges = Hashtbl.create 256 in
-  let state_refs = Hashtbl.create 64 in
-  (* per function: resolved fn edges and resolved mutable-state accesses *)
-  List.iter
-    (fun ((s : S.t), (f : S.func)) ->
-      let outs = C.out_edges cg s f in
-      Hashtbl.replace fn_edges (key s f)
-        (List.filter_map
-           (fun ((r : S.reference), target) ->
-             match target with
-             | C.Fn (ts, tf) -> Some (r.S.rline, key ts tf)
-             | C.Glob _ -> None)
-           outs);
-      Hashtbl.replace state_refs (key s f)
-        (List.filter_map
-           (fun ((r : S.reference), target) ->
-             match target with
-             | C.Glob (gs, g) -> Some (r, gs, g)
-             | C.Fn _ -> None)
-           outs))
-    funcs;
   let node = Hashtbl.create 256 in
   List.iter (fun (s, f) -> Hashtbl.replace node (key s f) (s, f)) funcs;
   let roots =
@@ -243,7 +206,7 @@ let domain_safety ~allow cg =
           Hashtbl.replace parent next (k, line);
           Queue.add next q
         end)
-      (Option.value ~default:[] (Hashtbl.find_opt fn_edges k))
+      (C.calls cg k)
   done;
   let seen_finding = Hashtbl.create 16 in
   List.concat_map
@@ -307,7 +270,7 @@ let domain_safety ~allow cg =
                 (Diagnostic.make ~trace ~rule:Rules.domain_safety
                    ~file:s.S.sfile ~line:r.S.rline ~col:0 msg)
             end)
-          (Option.value ~default:[] (Hashtbl.find_opt state_refs k)))
+          (C.state_refs cg k))
     funcs
 
 let analyze ~allow cg = determinism_taint ~allow cg @ domain_safety ~allow cg

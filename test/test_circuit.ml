@@ -117,19 +117,18 @@ let test_floating_node_gmin () =
 
 (* --- DC: CMOS inverter --- *)
 
-let build_inverter ?(strip_derivs = false) ?(w_in = W.Dc 0.0) () =
+let build_inverter ?(w_in = W.Dc 0.0) () =
   let c = N.create () in
   let gnd = N.ground c in
   let nvdd = N.node c "vdd" in
   let nin = N.node c "in" in
   let nout = N.node c "out" in
-  let dev d = if strip_derivs then Dm.without_derivs d else d in
   N.vsource c "vvdd" ~plus:nvdd ~minus:gnd ~wave:(W.Dc vdd);
   N.vsource c "vin" ~plus:nin ~minus:gnd ~wave:w_in;
   N.mosfet c "mp" ~d:nout ~g:nin ~s:nvdd ~b:nvdd
-    ~dev:(dev (Cards.bsim_device ~polarity:Dm.Pmos ~w_nm:600.0 ~l_nm:40.0));
+    ~dev:(Cards.bsim_device ~polarity:Dm.Pmos ~w_nm:600.0 ~l_nm:40.0);
   N.mosfet c "mn" ~d:nout ~g:nin ~s:gnd ~b:gnd
-    ~dev:(dev (Cards.bsim_device ~polarity:Dm.Nmos ~w_nm:300.0 ~l_nm:40.0));
+    ~dev:(Cards.bsim_device ~polarity:Dm.Nmos ~w_nm:300.0 ~l_nm:40.0);
   N.capacitor c "cl" ~a:nout ~b:gnd ~farads:1e-15;
   (c, nin, nout)
 
@@ -383,44 +382,12 @@ let test_counters_per_phase () =
   Alcotest.(check int) "accepted steps = samples - 1"
     (Array.length trace.E.times - 1)
     cnt.E.accepted_steps;
-  (* The VS devices carry analytic derivatives: no FD evals anywhere. *)
-  Alcotest.(check bool) "analytic evals > 0" true
-    (cnt.E.analytic_evaluations > 0);
-  Alcotest.(check int) "no fd evals" 0 cnt.E.fd_evaluations;
-  Alcotest.(check int) "model evals = analytic" cnt.E.model_evaluations
-    cnt.E.analytic_evaluations;
+  Alcotest.(check bool) "model evals > 0" true (cnt.E.model_evaluations > 0);
   (* Per-instance counts flushed into the process-wide totals. *)
   let after_global = E.global_counters () in
   let d = E.counters_diff after_global before_global in
   Alcotest.(check bool) "globals absorbed this engine" true
     (d.E.newton_iterations >= cnt.E.newton_iterations)
-
-let test_fd_fallback_matches_analytic () =
-  (* Same inverter with the derivative path stripped: the FD Jacobian must
-     converge to the same waveform, and the counters must show the 5x eval
-     cost. *)
-  let edge = W.pwl [| (20e-12, 0.0); (30e-12, vdd) |] in
-  let c1, _, nout1 = build_inverter ~w_in:edge () in
-  let eng1 = E.compile c1 in
-  let tr1 = E.transient eng1 ~tstop:100e-12 ~dt:1e-12 in
-  let w1 = E.node_wave eng1 tr1 nout1 in
-  let c2, _, nout2 = build_inverter ~strip_derivs:true ~w_in:edge () in
-  let eng2 = E.compile c2 in
-  let tr2 = E.transient eng2 ~tstop:100e-12 ~dt:1e-12 in
-  let w2 = E.node_wave eng2 tr2 nout2 in
-  Alcotest.(check int) "same sample count" (Array.length w1) (Array.length w2);
-  Array.iteri
-    (fun i v1 ->
-      Alcotest.(check bool)
-        (Printf.sprintf "waveforms agree at sample %d" i)
-        true
-        (Float.abs (v1 -. w2.(i)) < 1e-6))
-    w1;
-  let cnt2 = E.counters eng2 in
-  Alcotest.(check int) "fd path counts all evals" cnt2.E.model_evaluations
-    cnt2.E.fd_evaluations;
-  Alcotest.(check bool) "fd evals are 5 per linearization" true
-    (cnt2.E.fd_evaluations mod 5 = 0 && cnt2.E.fd_evaluations > 0)
 
 (* --- device bypass --- *)
 
@@ -566,6 +533,130 @@ let test_bypass_raise_leaves_no_stale_slot () =
   Alcotest.(check bool) "revisit reproduces the first evaluation" true
     (same_bits r1 r1')
 
+(* --- MOSFET stamp oracle --- *)
+
+(* [Engine.linearize]'s G and C checked against the device's value path
+   alone: one MOSFET whose four terminals each sit on their own
+   source-driven node, at random biases, for VS and BSIM of both
+   polarities.  Over the terminal block (rows and columns g, d, s, b) G
+   must be the channel current's conductances in rows d (+) and s (-)
+   and zero in rows g and b; C must be the terminal charges'
+   transcapacitances.  The reference is a central finite difference of
+   [eval] (step 1e-6 V), which never runs the analytic code.  A one-sided
+   difference is accepted as well: Bsim4lite's hard Vdsat floor puts a
+   kink in the value path (gm jumps by a third across it), and a central
+   stencil that straddles it matches neither side's derivative, while the
+   difference on the bias's own side still does.
+
+   Tolerance: 1e-3 relative, as the device-level FD tests, plus an
+   absolute floor.  For G the floor is 1e-11 S: it covers linearize's
+   1e-12 S gmin on the node diagonals and FD rounding (~1e-13 S).  C is
+   formed by linearize as (G + C) - G, which leaves an error of a few ulps
+   of the G entry at the same position, so its floor is 1e-15 |G_ij| plus
+   1e-22 F for FD rounding; real entries are ~1e-16 F. *)
+let stamp_matches_fd dev (vg, vd, vs, vb) =
+  let c = N.create () in
+  let gnd = N.ground c in
+  (* Sequenced lets: g, d, s, b get node indices 1..4. *)
+  let ng = N.node c "g" in
+  let nd = N.node c "d" in
+  let ns = N.node c "s" in
+  let nb = N.node c "b" in
+  let bias = [| vg; vd; vs; vb |] in
+  let terms = [| ng; nd; ns; nb |] in
+  Array.iteri
+    (fun j n ->
+      N.vsource c (Printf.sprintf "v%d" j) ~plus:n ~minus:gnd
+        ~wave:(W.Dc bias.(j)))
+    terms;
+  N.mosfet c "m0" ~d:nd ~g:ng ~s:ns ~b:nb ~dev;
+  let eng = E.compile c in
+  let x = Array.make (E.unknowns eng) 0.0 in
+  Array.iteri (fun j n -> x.(N.node_index n - 1) <- bias.(j)) terms;
+  let g, cm = E.linearize eng { E.x; time = 0.0 } in
+  let eval_at j delta =
+    let v = Array.mapi (fun k b -> if k = j then b +. delta else b) bias in
+    dev.Dm.eval ~vg:v.(0) ~vd:v.(1) ~vs:v.(2) ~vb:v.(3)
+  in
+  (* Central, forward and backward differences of [f] along terminal j. *)
+  let diffs j f =
+    let h = 1e-6 in
+    let fp = f (eval_at j h) and f0 = f (eval_at j 0.0)
+    and fm = f (eval_at j (-.h)) in
+    [ (fp -. fm) /. (2.0 *. h); (fp -. f0) /. h; (f0 -. fm) /. h ]
+  in
+  let current row (st : Dm.terminal_state) =
+    match row with 1 -> st.id | 2 -> -.st.id | _ -> 0.0
+  in
+  let charge row (st : Dm.terminal_state) =
+    match row with 0 -> st.qg | 1 -> st.qd | 2 -> st.qs | _ -> st.qb
+  in
+  let matches ~atol a refs =
+    List.exists
+      (fun b ->
+        Float.abs (a -. b)
+        <= atol +. (1e-3 *. Float.max (Float.abs a) (Float.abs b)))
+      refs
+  in
+  for i = 0 to 3 do
+    for j = 0 to 3 do
+      let r = N.node_index terms.(i) - 1 and k = N.node_index terms.(j) - 1 in
+      let gij = Vstat_linalg.Matrix.get g r k in
+      let cij = Vstat_linalg.Matrix.get cm r k in
+      let g_ref = diffs j (current i) and c_ref = diffs j (charge i) in
+      if
+        not
+          (matches ~atol:1e-11 gij g_ref
+          && matches ~atol:((1e-15 *. Float.abs gij) +. 1e-22) cij c_ref)
+      then
+        QCheck.Test.fail_reportf
+          "%s at (%g, %g, %g, %g): G[%d][%d] = %g vs fd %g, C[%d][%d] = %g \
+           vs fd %g"
+          dev.Dm.name vg vd vs vb i j gij (List.hd g_ref) i j cij
+          (List.hd c_ref)
+    done
+  done;
+  true
+
+let prop_stamp_matches_fd =
+  let open QCheck in
+  (* NMOS-quadrant biases, mirrored for PMOS. *)
+  let bias =
+    quad (float_range 0.0 0.9) (float_range 0.0 0.9) (float_range 0.0 0.4)
+      (float_range (-0.3) 0.2)
+  in
+  Test.make ~name:"linearize G/C match central FD of eval" ~count:100 bias
+    (fun (vg, vd, vs, vb) ->
+      Array.for_all
+        (fun dev ->
+          let sign =
+            match dev.Dm.polarity with Dm.Nmos -> 1.0 | Dm.Pmos -> -1.0
+          in
+          stamp_matches_fd dev
+            (sign *. vg, sign *. vd, sign *. vs, sign *. vb))
+        bypass_devices)
+
+(* The engine linearizes every MOSFET through its analytic path, so a
+   device without one is refused when the netlist is compiled. *)
+let test_compile_rejects_no_derivs () =
+  let c = build_random_mos [ (0, 2, 1, 0, 0) ] in
+  let dev = { bypass_devices.(0) with Dm.eval_derivs = None } in
+  N.mosfet c "mbad" ~d:(N.node c "a") ~g:(N.node c "rail") ~s:(N.ground c)
+    ~b:(N.ground c) ~dev;
+  match E.compile c with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    let contains sub =
+      let rec scan i =
+        i + String.length sub <= String.length msg
+        && (String.sub msg i (String.length sub) = sub || scan (i + 1))
+      in
+      scan 0
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "message names the device: %s" msg)
+      true (contains "mbad")
+
 (* A MOSFET inverter chain driven by a ramp: the transient repeats most
    device evaluations (quiet stages, each step's first iteration at the
    previous step's final assembly point), so the bypass must keep model
@@ -600,9 +691,7 @@ let test_bypass_skips_repeats () =
     (Printf.sprintf "model evals %d < %d MOSFETs x %d assemblies"
        cnt.E.model_evaluations mosfets cnt.E.assemblies)
     true
-    (cnt.E.model_evaluations < mosfets * cnt.E.assemblies);
-  Alcotest.(check int) "model evals = analytic" cnt.E.model_evaluations
-    cnt.E.analytic_evaluations
+    (cnt.E.model_evaluations < mosfets * cnt.E.assemblies)
 
 let test_node_identity () =
   let c = N.create () in
@@ -738,7 +827,7 @@ let test_integrator_convergence_order () =
 
 (* --- failure injection --- *)
 
-let conflicting_sources () =
+let conflicting_sources ?backend () =
   (* Two ideal voltage sources forcing different values on the same node:
      the MNA matrix is structurally singular. *)
   let c = N.create () in
@@ -746,7 +835,7 @@ let conflicting_sources () =
   let n1 = N.node c "n1" in
   N.vsource c "v1" ~plus:n1 ~minus:gnd ~wave:(W.Dc 1.0);
   N.vsource c "v2" ~plus:n1 ~minus:gnd ~wave:(W.Dc 2.0);
-  E.compile c
+  E.compile ?backend c
 
 let test_dc_no_convergence () =
   let eng = conflicting_sources () in
@@ -767,6 +856,31 @@ let test_dc_no_convergence () =
       d.Vstat_circuit.Diag.newton_iter;
     Alcotest.(check bool) "no update norm" true
       (d.Vstat_circuit.Diag.dmax = None)
+
+(* One defect, one census kind: the dense backend finds the structural
+   singularity at its first solve, the sparse one at compile time, and
+   both report a typed singular Jacobian naming unknown 2 (v2's branch
+   current, the column no pivot covers). *)
+let test_structural_singularity_both_backends () =
+  List.iter
+    (fun (name, backend) ->
+      match E.dc (conflicting_sources ~backend ()) with
+      | _ -> Alcotest.failf "%s: expected Solver_error" name
+      | exception Vstat_circuit.Diag.Solver_error d ->
+        Alcotest.(check string)
+          (name ^ ": classified as singular")
+          "singular_jacobian"
+          (Vstat_circuit.Diag.kind_name d.Vstat_circuit.Diag.kind);
+        let msg = d.Vstat_circuit.Diag.message in
+        let sub = "unknown 2" in
+        let rec scan i =
+          i + String.length sub <= String.length msg
+          && (String.sub msg i (String.length sub) = sub || scan (i + 1))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: message names unknown 2: %s" name msg)
+          true (scan 0))
+    [ ("dense", E.Dense); ("sparse", E.Sparse) ]
 
 let test_transient_no_convergence () =
   let eng = conflicting_sources () in
@@ -1082,8 +1196,9 @@ let () =
             test_transient_lands_on_waveform_corners;
           Alcotest.test_case "per-phase counters" `Quick
             test_counters_per_phase;
-          Alcotest.test_case "fd fallback" `Quick
-            test_fd_fallback_matches_analytic;
+          QCheck_alcotest.to_alcotest prop_stamp_matches_fd;
+          Alcotest.test_case "compile rejects a device without derivatives"
+            `Quick test_compile_rejects_no_derivs;
         ] );
       ( "bypass",
         [
@@ -1132,6 +1247,8 @@ let () =
       ( "failure-injection",
         [
           Alcotest.test_case "dc no convergence" `Quick test_dc_no_convergence;
+          Alcotest.test_case "structural singularity on both backends" `Quick
+            test_structural_singularity_both_backends;
           Alcotest.test_case "transient no convergence" `Quick test_transient_no_convergence;
           Alcotest.test_case "floating node singular" `Quick
             test_floating_node_singular;

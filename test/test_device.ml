@@ -391,15 +391,6 @@ let test_derivs_match_central_fd () =
         (deriv_grid_for d))
     all_devices
 
-let test_without_derivs_strips_path () =
-  let stripped = Dm.without_derivs nmos_vs in
-  Alcotest.(check bool) "eval_derivs gone" true (stripped.Dm.eval_derivs = None);
-  let st1 = nmos_vs.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
-  let st2 = stripped.Dm.eval ~vg:0.7 ~vd:0.5 ~vs:0.0 ~vb:0.0 in
-  Alcotest.(check bool)
-    "value path intact" true
-    (same_bits st1.Dm.id st2.Dm.id)
-
 let prop_derivs_match_fd_random =
   QCheck.Test.make
     ~name:"analytic conductances track FD on random biases" ~count:200
@@ -594,8 +585,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_derivs_values_bitwise;
           Alcotest.test_case "match central FD" `Quick
             test_derivs_match_central_fd;
-          Alcotest.test_case "without_derivs strips" `Quick
-            test_without_derivs_strips_path;
           QCheck_alcotest.to_alcotest prop_derivs_match_fd_random;
           Alcotest.test_case "eval_derivs allocates only its arguments"
             `Quick test_eval_derivs_allocation;
